@@ -1,8 +1,11 @@
-"""Hot SU(2) kernels: numba-jitted loops with pure-NumPy fallbacks.
+"""Hot kernels: SU(2) products and trajectories, the nested Magnus sum, and
+the twist-free frame transport.
 
-Setting the environment variable CURVEPULSE_NO_NUMBA=1 (checked at import
-time) forces the NumPy/Python fallback path.  Both paths are compared by
-``bench/bench_kernels.py`` and by the test suite.
+The three SU(2)/Magnus kernels are numba-jitted loops with pure-NumPy
+fallbacks.  Setting the environment variable CURVEPULSE_NO_NUMBA=1 (checked
+at import time) forces the fallback path.  Both paths are compared by
+``bench/bench_kernels.py`` and by the test suite.  The frame transport is a
+single vectorized NumPy kernel with no numba twin.
 
 State convention: a special-unitary 2x2 matrix is carried as the complex
 pair (u1, u2) with matrix [[u1, -conj(u2)], [u2, conj(u1)]].  One exact
@@ -131,58 +134,6 @@ def _magnus_nested_loop(vx, vy, vz, dt):
     return r2x, r2y, r2z
 
 
-def _transport_components_loop(points, tangent, rddot, m1x, m1y, m1z, a_out, b_out):
-    # Double-reflection parallel transport of a twist-free frame vector m1;
-    # a, b are the components of r'' in the transported (m1, t x m1) basis.
-    n = tangent.shape[0]
-    for i in range(n):
-        tx, ty, tz = tangent[i, 0], tangent[i, 1], tangent[i, 2]
-        m2x = ty * m1z - tz * m1y
-        m2y = tz * m1x - tx * m1z
-        m2z = tx * m1y - ty * m1x
-        a_out[i] = rddot[i, 0] * m1x + rddot[i, 1] * m1y + rddot[i, 2] * m1z
-        b_out[i] = rddot[i, 0] * m2x + rddot[i, 1] * m2y + rddot[i, 2] * m2z
-        if i == n - 1:
-            break
-        # first reflection: across the chord bisector plane
-        v1x = points[i + 1, 0] - points[i, 0]
-        v1y = points[i + 1, 1] - points[i, 1]
-        v1z = points[i + 1, 2] - points[i, 2]
-        c1 = v1x * v1x + v1y * v1y + v1z * v1z
-        if c1 > 0.0:
-            d = 2.0 * (v1x * tx + v1y * ty + v1z * tz) / c1
-            tlx = tx - d * v1x
-            tly = ty - d * v1y
-            tlz = tz - d * v1z
-            d = 2.0 * (v1x * m1x + v1y * m1y + v1z * m1z) / c1
-            m1x -= d * v1x
-            m1y -= d * v1y
-            m1z -= d * v1z
-        else:
-            tlx, tly, tlz = tx, ty, tz
-        # second reflection: align the reflected tangent with the next one
-        v2x = tangent[i + 1, 0] - tlx
-        v2y = tangent[i + 1, 1] - tly
-        v2z = tangent[i + 1, 2] - tlz
-        c2 = v2x * v2x + v2y * v2y + v2z * v2z
-        if c2 > 0.0:
-            d = 2.0 * (v2x * m1x + v2y * m1y + v2z * m1z) / c2
-            m1x -= d * v2x
-            m1y -= d * v2y
-            m1z -= d * v2z
-        # re-orthogonalize against the new tangent
-        tnx, tny, tnz = tangent[i + 1, 0], tangent[i + 1, 1], tangent[i + 1, 2]
-        dot = m1x * tnx + m1y * tny + m1z * tnz
-        m1x -= dot * tnx
-        m1y -= dot * tny
-        m1z -= dot * tnz
-        norm = np.sqrt(m1x * m1x + m1y * m1y + m1z * m1z)
-        m1x /= norm
-        m1y /= norm
-        m1z /= norm
-    return a_out, b_out
-
-
 def _su2_product_numpy(hx, hy, hz, dt):
     # Pairwise (log-depth) reduction of the substep propagator sequence.
     a = np.sqrt(hx * hx + hy * hy + hz * hz) * dt
@@ -259,12 +210,10 @@ if HAVE_NUMBA:
     _su2_product_nb = numba.njit(cache=True)(_su2_product_loop)
     _su2_trajectory_nb = numba.njit(cache=True)(_su2_trajectory_loop)
     _magnus_nested_nb = numba.njit(cache=True)(_magnus_nested_loop)
-    _transport_nb = numba.njit(cache=True)(_transport_components_loop)
 else:  # pragma: no cover
     _su2_product_nb = None
     _su2_trajectory_nb = None
     _magnus_nested_nb = None
-    _transport_nb = None
 
 
 def _prep(*arrays):
@@ -297,14 +246,56 @@ def magnus_nested_r2(vx, vy, vz, dt):
     return np.array(_magnus_nested_numpy(vx, vy, vz, float(dt)))
 
 
+def _rowdot(u, v):
+    return np.einsum("ij,ij->i", u, v)
+
+
+def _reflect(x, v, vv):
+    # reflection of the rows of x across the planes normal to the rows of v;
+    # rows with vv == 0 are left unchanged
+    d = np.divide(2.0 * _rowdot(v, x), vv, out=np.zeros_like(vv), where=vv > 0.0)
+    return x - d[:, None] * v
+
+
 def transport_components(points, tangent, rddot, m1):
-    """Twist-free frame components (a, b) of r'' along the curve."""
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    tangent = np.ascontiguousarray(tangent, dtype=np.float64)
-    rddot = np.ascontiguousarray(rddot, dtype=np.float64)
+    """Twist-free frame components (a, b) of r'' along the curve.
+
+    The frame vector m1 is carried by double-reflection transport (Wang,
+    Juettler, Zheng & Liu 2008); a, b are the components of r'' in the
+    transported (m1, t x m1) basis.  Each step's two reflections compose to
+    a rotation R_i taking t_i to t_{i+1}, so against any per-sample basis
+    (f_i, g_i = t_i x f_i) the transported vector is cos(theta_i) f_i +
+    sin(theta_i) g_i with theta_{i+1} = theta_i + angle of R_i f_i in
+    (f_{i+1}, g_{i+1}).  All steps are evaluated at once and the angle
+    increments are summed.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    tangent = np.asarray(tangent, dtype=np.float64)
+    rddot = np.asarray(rddot, dtype=np.float64)
+    m1 = np.asarray(m1, dtype=np.float64)
+    # reference f_i: the coordinate axis least aligned with t_i, projected
+    # off t_i; switches between axes are absorbed into the angle increments
     n = tangent.shape[0]
-    a = np.empty(n)
-    b = np.empty(n)
-    fn = _transport_nb if USE_NUMBA else _transport_components_loop
-    fn(points, tangent, rddot, float(m1[0]), float(m1[1]), float(m1[2]), a, b)
-    return a, b
+    f = np.zeros_like(tangent)
+    f[np.arange(n), np.argmin(np.abs(tangent), axis=1)] = 1.0
+    f -= _rowdot(f, tangent)[:, None] * tangent
+    f /= np.linalg.norm(f, axis=1)[:, None]
+    g = np.cross(tangent, f)
+
+    # both reflections of every step: across the chord bisector plane, then
+    # the plane that takes the reflected tangent onto the next tangent
+    v1 = np.diff(points, axis=0)
+    c1 = _rowdot(v1, v1)
+    t_left = _reflect(tangent[:-1], v1, c1)
+    v2 = tangent[1:] - t_left
+    rf = _reflect(_reflect(f[:-1], v1, c1), v2, _rowdot(v2, v2))
+
+    theta = np.empty(n)
+    theta[0] = np.arctan2(m1 @ g[0], m1 @ f[0])
+    np.cumsum(np.arctan2(_rowdot(rf, g[1:]), _rowdot(rf, f[1:])), out=theta[1:])
+    theta[1:] += theta[0]
+    c = np.cos(theta)
+    s = np.sin(theta)
+    rf_dot = _rowdot(rddot, f)
+    rg_dot = _rowdot(rddot, g)
+    return c * rf_dot + s * rg_dot, c * rg_dot - s * rf_dot

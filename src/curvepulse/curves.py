@@ -130,9 +130,10 @@ def reparameterize_by_arclength(
     """Resample a parametric curve onto a uniform unit-speed grid.
 
     The cumulative length is built by fine-grid chord summation, with the
-    dense grid doubled (Richardson-style) until the total length changes by
-    less than rel_tol in relative terms.  The output curve starts at the
-    origin and has total_length equal to its final t value.
+    dense grid doubled until the chord total, or its Richardson
+    extrapolation from the last two grids, changes by less than rel_tol in
+    relative terms.  The output curve starts at the origin and has
+    total_length equal to its final t value (the extrapolated length).
     """
     lo, hi = float(lam_span[0]), float(lam_span[1])
     if not hi > lo:
@@ -142,6 +143,7 @@ def reparameterize_by_arclength(
 
     m = max(8 * n_samples, _DENSE_FLOOR)
     prev_len = None
+    prev_refined = None
     while True:
         lam = np.linspace(lo, hi, m + 1)
         pts = np.asarray(sampler(lam), dtype=float)
@@ -155,8 +157,13 @@ def reparameterize_by_arclength(
             raise InputError("zero-length curve")
         if prev_len is not None:
             refined = total + (total - prev_len) / 3.0
-            if abs(total - prev_len) <= rel_tol * total or 2 * m > _DENSE_CAP:
+            if (
+                abs(total - prev_len) <= rel_tol * total
+                or (prev_refined is not None and abs(refined - prev_refined) <= rel_tol * refined)
+                or 2 * m > _DENSE_CAP
+            ):
                 break
+            prev_refined = refined
         prev_len = total
         m *= 2
 
@@ -169,6 +176,20 @@ def reparameterize_by_arclength(
     out = np.asarray(sampler(lam_t), dtype=float)
     out = out - out[0]
     return SpaceCurve(t, out, source_tag)
+
+
+def _nearest_valid(valid):
+    """Index of the nearest valid sample for every invalid one.
+
+    Ties go to the lower index.  One binary search per invalid sample keeps
+    long straight runs at O(n log n) time and O(n) memory.
+    """
+    idx_valid = np.flatnonzero(valid)
+    idx_flagged = np.flatnonzero(~valid)
+    above = np.searchsorted(idx_valid, idx_flagged)
+    lo = idx_valid[np.maximum(above - 1, 0)]
+    hi = idx_valid[np.minimum(above, idx_valid.size - 1)]
+    return np.where(hi - idx_flagged < idx_flagged - lo, hi, lo)
 
 
 def frenet_data(curve, curvature_floor_rel=1e-8):
@@ -188,35 +209,38 @@ def frenet_data(curve, curvature_floor_rel=1e-8):
     noise_floor = 1e3 * np.finfo(float).eps * coord_scale / dt**2
     floor = max(curvature_floor_rel * float(curvature.mean()), noise_floor)
     valid = curvature > floor
-    flagged = ~valid
 
     normal = np.zeros_like(pts)
     if np.any(valid):
-        normal[valid] = rddot[valid] / curvature[valid, None]
+        unit = rddot[valid] / curvature[valid, None]
         # enforce exact orthogonality to the tangent (removes the tangential
         # finite-difference leakage near small curvature)
-        proj = np.sum(normal[valid] * tangent[valid], axis=1)
-        normal[valid] -= proj[:, None] * tangent[valid]
-        normal[valid] /= np.linalg.norm(normal[valid], axis=1)[:, None]
-        if np.any(flagged):
-            idx_valid = np.flatnonzero(valid)
-            nearest = idx_valid[
-                np.argmin(np.abs(np.flatnonzero(flagged)[:, None] - idx_valid[None, :]), axis=1)
-            ]
-            carried = normal[nearest]
-            # re-orthogonalize the carried normals against the local tangent
-            tloc = tangent[flagged]
-            carried = carried - np.sum(carried * tloc, axis=1)[:, None] * tloc
+        proj = np.sum(unit * tangent[valid], axis=1)
+        unit -= proj[:, None] * tangent[valid]
+        across = np.linalg.norm(unit, axis=1)
+        # r'' along the tangent alone (a straight run resampled at slightly
+        # non-unit speed) clears the floor but leaves no normal direction
+        # above the rounding of the projection itself
+        keep = across > 4.0 * np.finfo(float).eps
+        valid[valid] = keep
+        normal[valid] = unit[keep] / across[keep, None]
+    flagged = ~valid
+    nearest = _nearest_valid(valid) if np.any(valid) and np.any(flagged) else None
+    if nearest is not None:
+        carried = normal[nearest]
+        # re-orthogonalize the carried normals against the local tangent
+        tloc = tangent[flagged]
+        carried = carried - np.sum(carried * tloc, axis=1)[:, None] * tloc
+        nrm = np.linalg.norm(carried, axis=1)
+        bad = nrm < 1e-12
+        if np.any(bad):
+            fallback = np.cross(tloc[bad], np.array([0.0, 0.0, 1.0]))
+            alt = np.linalg.norm(fallback, axis=1) < 1e-6
+            fallback[alt] = np.cross(tloc[bad][alt], np.array([1.0, 0.0, 0.0]))
+            carried[bad] = fallback
             nrm = np.linalg.norm(carried, axis=1)
-            bad = nrm < 1e-12
-            if np.any(bad):
-                fallback = np.cross(tloc[bad], np.array([0.0, 0.0, 1.0]))
-                alt = np.linalg.norm(fallback, axis=1) < 1e-6
-                fallback[alt] = np.cross(tloc[bad][alt], np.array([1.0, 0.0, 0.0]))
-                carried[bad] = fallback
-                nrm = np.linalg.norm(carried, axis=1)
-            normal[flagged] = carried / nrm[:, None]
-    else:
+        normal[flagged] = carried / nrm[:, None]
+    elif not np.any(valid):
         # straight segment: any frame orthogonal to the tangent
         ref = np.array([0.0, 0.0, 1.0])
         if abs(tangent[0] @ ref) > 0.9:
@@ -231,11 +255,7 @@ def frenet_data(curve, curvature_floor_rel=1e-8):
     denom = np.sum(cross * cross, axis=1)
     torsion = np.zeros(len(pts))
     torsion[valid] = np.sum(cross[valid] * rdddot[valid], axis=1) / denom[valid]
-    if np.any(flagged) and np.any(valid):
-        idx_valid = np.flatnonzero(valid)
-        nearest = idx_valid[
-            np.argmin(np.abs(np.flatnonzero(flagged)[:, None] - idx_valid[None, :]), axis=1)
-        ]
+    if nearest is not None:
         torsion[flagged] = torsion[nearest]
 
     return FrenetData(

@@ -34,3 +34,36 @@ def helix_curve(a=1.0, b=0.5, span=2.0 * np.pi, n_samples=4096):
         return np.stack([a * np.cos(lam), a * np.sin(lam), b * lam], axis=1)
 
     return cp.reparameterize_by_arclength(sampler, (0.0, span), n_samples, source_tag="helix")
+
+
+def stadium_rows(straight=1.0, radius=1.0, rows=513):
+    """Closed stadium as raw rows: two straights joined by half-circles.
+
+    Sampled at equal arc-length steps from the middle of the lower straight,
+    so the curve starts (and ends) on a zero-curvature run.  Load it through
+    a CSV file to get the spline route every curve file takes.
+    """
+    s = np.linspace(0.0, 2.0 * straight + 2.0 * np.pi * radius, rows)
+    half = 0.5 * straight
+    ends = np.cumsum([half, np.pi * radius, straight, np.pi * radius])
+    seg = np.searchsorted(ends, s, side="right")
+    pts = np.zeros((rows, 3))
+    # (anchor x, anchor y, direction) of each piece, in traversal order
+    pieces = [
+        (0.0, 0.0, 1.0),
+        (half, radius, 1.0),
+        (half, 2.0 * radius, -1.0),
+        (-half, radius, -1.0),
+        (-half, 0.0, 1.0),
+    ]
+    for k, (x0, y0, sign) in enumerate(pieces):
+        m = seg == k
+        u = s[m] - (ends[k - 1] if k else 0.0)
+        if k % 2 == 0:  # straight run along +-x
+            pts[m, 0] = x0 + sign * u
+            pts[m, 1] = y0
+        else:  # half-circle about (x0, y0)
+            a = u / radius
+            pts[m, 0] = x0 + sign * radius * np.sin(a)
+            pts[m, 1] = y0 - sign * radius * np.cos(a)
+    return cp.SpaceCurve(s, pts, "stadium")

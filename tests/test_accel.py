@@ -5,7 +5,83 @@ import sys
 import numpy as np
 import pytest
 
+import curvepulse as cp
 from curvepulse import _accel
+from curvepulse._numerics import fd2
+from curvepulse.synthesis import _first_valid_normal
+
+from conftest import stadium_rows
+
+
+def _transport_reference(points, tangent, rddot, m1):
+    # One double-reflection step per sample (Wang, Juettler, Zheng & Liu
+    # 2008): the sequential form of the frame transport, kept as the
+    # reference for the vectorized kernel.
+    m1x, m1y, m1z = (float(v) for v in m1)
+    n = tangent.shape[0]
+    a_out = np.empty(n)
+    b_out = np.empty(n)
+    for i in range(n):
+        tx, ty, tz = tangent[i, 0], tangent[i, 1], tangent[i, 2]
+        m2x = ty * m1z - tz * m1y
+        m2y = tz * m1x - tx * m1z
+        m2z = tx * m1y - ty * m1x
+        a_out[i] = rddot[i, 0] * m1x + rddot[i, 1] * m1y + rddot[i, 2] * m1z
+        b_out[i] = rddot[i, 0] * m2x + rddot[i, 1] * m2y + rddot[i, 2] * m2z
+        if i == n - 1:
+            break
+        # first reflection: across the chord bisector plane
+        v1x = points[i + 1, 0] - points[i, 0]
+        v1y = points[i + 1, 1] - points[i, 1]
+        v1z = points[i + 1, 2] - points[i, 2]
+        c1 = v1x * v1x + v1y * v1y + v1z * v1z
+        if c1 > 0.0:
+            d = 2.0 * (v1x * tx + v1y * ty + v1z * tz) / c1
+            tlx = tx - d * v1x
+            tly = ty - d * v1y
+            tlz = tz - d * v1z
+            d = 2.0 * (v1x * m1x + v1y * m1y + v1z * m1z) / c1
+            m1x -= d * v1x
+            m1y -= d * v1y
+            m1z -= d * v1z
+        else:
+            tlx, tly, tlz = tx, ty, tz
+        # second reflection: align the reflected tangent with the next one
+        v2x = tangent[i + 1, 0] - tlx
+        v2y = tangent[i + 1, 1] - tly
+        v2z = tangent[i + 1, 2] - tlz
+        c2 = v2x * v2x + v2y * v2y + v2z * v2z
+        if c2 > 0.0:
+            d = 2.0 * (v2x * m1x + v2y * m1y + v2z * m1z) / c2
+            m1x -= d * v2x
+            m1y -= d * v2y
+            m1z -= d * v2z
+        # re-orthogonalize against the new tangent
+        tnx, tny, tnz = tangent[i + 1, 0], tangent[i + 1, 1], tangent[i + 1, 2]
+        dot = m1x * tnx + m1y * tny + m1z * tnz
+        m1x -= dot * tnx
+        m1y -= dot * tny
+        m1z -= dot * tnz
+        norm = np.sqrt(m1x * m1x + m1y * m1y + m1z * m1z)
+        m1x /= norm
+        m1y /= norm
+        m1z /= norm
+    return a_out, b_out
+
+
+def _stadium(tmp_path):
+    # starts on a straight run, loaded through the CSV route
+    cp.save_curve_csv(stadium_rows(), tmp_path / "stadium.csv")
+    return cp.load_curve(tmp_path / "stadium.csv")
+
+
+TRANSPORT_CURVES = {
+    "circle": lambda tmp_path: cp.builtin_curve("circle"),
+    "lemniscate": lambda tmp_path: cp.builtin_curve("lemniscate"),
+    "alpha_eq12": lambda tmp_path: cp.builtin_curve("alpha_eq12"),
+    "stadium": _stadium,
+    "clifford_fig1@32768": lambda tmp_path: cp.builtin_curve("clifford_fig1", 32768),
+}
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +143,21 @@ class TestPathEquality:
         u1_p, u2_p = _accel.su2_product(mid[:, 0], mid[:, 1], mid[:, 2], dt)
         assert abs(u1_t[-1] - u1_p) < 1e-5
         assert abs(u2_t[-1] - u2_p) < 1e-5
+
+    @pytest.mark.parametrize("name", list(TRANSPORT_CURVES))
+    def test_transport_paths_agree(self, name, tmp_path):
+        # the inputs drive_phase_track hands the kernel
+        frenet = cp.frenet_data(TRANSPORT_CURVES[name](tmp_path))
+        rddot = fd2(frenet.points, frenet.dt)
+        t0 = frenet.tangent[0]
+        m1 = _first_valid_normal(frenet)
+        m1 = m1 - (m1 @ t0) * t0
+        m1 /= np.linalg.norm(m1)
+        a, b = _accel.transport_components(frenet.points, frenet.tangent, rddot, m1)
+        a_ref, b_ref = _transport_reference(frenet.points, frenet.tangent, rddot, m1)
+        scale = np.max(np.linalg.norm(rddot, axis=1))
+        assert np.max(np.abs(a - a_ref)) <= 1e-12 * scale
+        assert np.max(np.abs(b - b_ref)) <= 1e-12 * scale
 
 
 def test_env_flag_forces_numpy_path():

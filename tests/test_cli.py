@@ -8,6 +8,8 @@ import pytest
 import curvepulse as cp
 from curvepulse.cli import main
 
+from conftest import stadium_rows
+
 
 def tree_hashes(outdir):
     return {
@@ -99,6 +101,27 @@ class TestSynth:
         assert rc == 0
         assert "not closed" in capsys.readouterr().err
         assert not json.loads((out / "gate.json").read_text())["closed"]
+
+    def test_tangential_second_derivative_does_not_raise(self, tmp_path, capsys):
+        # a straight-run sample of this stadium has r'' along the tangent
+        # at 6000 samples; it must not leave non-finite frame data behind
+        cp.save_curve_csv(stadium_rows(3.0, 0.5, 2049), tmp_path / "stadium.csv")
+        out = tmp_path / "s"
+        rc = main(
+            ["synth", "--curve-file", str(tmp_path / "stadium.csv"), "--samples", "6000",
+             "--out", str(out)]
+        )
+        if rc == 3:
+            # the only stage of synth that can give up is the self-check
+            assert "propagation not converged" in capsys.readouterr().err
+            return
+        assert rc == 0
+        for name in ("pulse.csv", "frenet.csv"):
+            data = np.loadtxt(out / name, delimiter=",", skiprows=1)
+            assert np.all(np.isfinite(data)), name
+        gate = json.loads((out / "gate.json").read_text())
+        for part in ("unitary_re", "unitary_im"):
+            assert np.all(np.isfinite(gate[part])), part
 
     def test_unknown_builtin_exits_2(self, tmp_path, capsys):
         rc = main(["synth", "--builtin", "circle", "--param", "bogus", "--out", str(tmp_path / "x")])

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import curvepulse as cp
+from curvepulse import curves
 from curvepulse._numerics import fd1, fd2, fd3, kabsch_align
 from curvepulse.curves import (
+    _nearest_valid,
     _sphere_loop_point,
     _sphere_loop_velocity,
     save_curve_csv,
@@ -12,7 +16,7 @@ from curvepulse.curves import (
 )
 from curvepulse.errors import InputError
 
-from conftest import helix_curve
+from conftest import helix_curve, stadium_rows
 
 HELIX_A, HELIX_B = 1.0, 0.5
 HELIX_KAPPA = HELIX_A / (HELIX_A**2 + HELIX_B**2)  # 0.8
@@ -65,6 +69,36 @@ class TestReparameterize:
         assert err < 1e-6
         assert abs(c.total_length - want) < 1e-7
 
+    def test_sampler_calls_do_not_grow(self, monkeypatch, tmp_path):
+        # dense levels plus the final resampling call, at 4096 samples; the
+        # two sphere loops stop one level early, once successive Richardson
+        # totals agree
+        calls = []
+        inner = curves.reparameterize_by_arclength
+
+        def counting(sampler, *args, **kwargs):
+            def counted(lam):
+                calls.append(len(lam))
+                return sampler(lam)
+
+            return inner(counted, *args, **kwargs)
+
+        monkeypatch.setattr(curves, "reparameterize_by_arclength", counting)
+        save_curve_csv(cp.random_fourier_loop(3, n_samples=2048), tmp_path / "loop.csv")
+        ceilings = {
+            "circle": (4, lambda: cp.builtin_curve("circle")),
+            "lemniscate": (4, lambda: cp.builtin_curve("lemniscate")),
+            "clifford_fig1": (4, lambda: cp.builtin_curve("clifford_fig1")),
+            "alpha_eq12": (4, lambda: cp.builtin_curve("alpha_eq12")),
+            "const_torsion_gamma": (4, lambda: cp.builtin_curve("const_torsion_gamma")),
+            "fourier_loop": (4, lambda: cp.random_fourier_loop(3)),
+            "csv": (4, lambda: cp.load_curve(tmp_path / "loop.csv")),
+        }
+        for name, (ceiling, build) in ceilings.items():
+            calls.clear()
+            build()
+            assert len(calls) <= ceiling, name
+
     def test_rejects_zero_length(self):
         with pytest.raises(InputError):
             cp.reparameterize_by_arclength(
@@ -115,6 +149,40 @@ class TestFrenet:
         f = cp.frenet_data(cp.SpaceCurve(t, pts, "line"))
         assert f.flagged.all()
         assert np.max(np.abs(f.torsion)) == 0.0
+
+    def test_nearest_valid_ties_go_low(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            valid = rng.random(200) < rng.uniform(0.05, 0.9)
+            valid[rng.integers(200)] = True
+            idx_valid = np.flatnonzero(valid)
+            dist = np.abs(np.flatnonzero(~valid)[:, None] - idx_valid[None, :])
+            assert np.array_equal(_nearest_valid(valid), idx_valid[np.argmin(dist, axis=1)])
+
+    def test_long_straight_memory_is_linear(self, tmp_path):
+        save_curve_csv(stadium_rows(20.0, 1.0, 4001), tmp_path / "stadium.csv")
+        curve = cp.load_curve(tmp_path / "stadium.csv", n_samples=16384)
+        tracemalloc.start()
+        try:
+            f = cp.frenet_data(curve)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # about 14k flagged against 2.4k valid samples: a pairwise distance
+        # matrix between them alone would take 254 MiB
+        assert np.sum(f.flagged) > 10000
+        assert peak < 16 * 2**20
+
+    def test_tangential_second_derivative_flagged(self, tmp_path):
+        # on this stadium at 6000 samples one straight-run sample clears the
+        # curvature floor with r'' exactly along the tangent
+        save_curve_csv(stadium_rows(3.0, 0.5, 2049), tmp_path / "stadium.csv")
+        f = cp.frenet_data(cp.load_curve(tmp_path / "stadium.csv", n_samples=6000))
+        for values in (f.normal, f.binormal, f.torsion):
+            assert np.all(np.isfinite(values))
+        assert np.max(np.abs(np.linalg.norm(f.normal, axis=1) - 1.0)) < 1e-12
+        ok = ~f.flagged
+        assert np.max(np.abs(np.sum(f.tangent[ok] * f.normal[ok], axis=1))) < 1e-8
 
     def test_frenet_reconstruction(self):
         # geometric core: integrating the frame system regenerates the curve.
