@@ -4,6 +4,8 @@ Run: python bench/bench_kernels.py --substeps 8192 --repeats 5
 
 The same kernels are selected at import time by CURVEPULSE_NO_NUMBA; here
 both implementations are invoked explicitly so one run shows the speedup.
+The SU(2) trajectory has one NumPy implementation and no numba twin, so
+its row shows the NumPy time alone.
 """
 
 import argparse
@@ -57,21 +59,7 @@ def main():
         (hx, hy, hz, dt),
         (hx, hy, hz, dt),
     )
-    if _accel.HAVE_NUMBA:
-        u1 = np.empty(n, dtype=np.complex128)
-        u2 = np.empty(n, dtype=np.complex128)
-        nb_traj_args = (hx, hy, hz, dt, u1, u2)
-        nb_traj = _accel._su2_trajectory_nb
-    else:
-        nb_traj_args = None
-        nb_traj = None
-    bench(
-        "su2 trajectory",
-        nb_traj,
-        _accel._su2_trajectory_numpy,
-        nb_traj_args or (),
-        (hx, hy, hz, dt),
-    )
+    bench("su2 trajectory (NumPy scan)", None, _accel.su2_trajectory, (), (hx, hy, hz, dt))
     bench(
         "nested second-order integral",
         _accel._magnus_nested_nb,

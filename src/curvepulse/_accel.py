@@ -1,11 +1,13 @@
 """Hot kernels: SU(2) products and trajectories, the nested Magnus sum, and
 the twist-free frame transport.
 
-The three SU(2)/Magnus kernels are numba-jitted loops with pure-NumPy
-fallbacks.  Setting the environment variable CURVEPULSE_NO_NUMBA=1 (checked
-at import time) forces the fallback path.  Both paths are compared by
-``bench/bench_kernels.py`` and by the test suite.  The frame transport is a
-single vectorized NumPy kernel with no numba twin.
+The SU(2) product and the nested Magnus sum are numba-jitted loops with
+pure-NumPy fallbacks.  Setting the environment variable
+CURVEPULSE_NO_NUMBA=1 (checked at import time) forces the fallback path.
+The nested Magnus sum is an O(N^2) test oracle: ``simulator.magnus_errors``
+runs it only when asked with nested=True.  The trajectory is a blocked
+NumPy prefix scan and the frame transport a single vectorized NumPy kernel;
+neither has a numba twin.  ``bench/bench_kernels.py`` times every kernel.
 
 State convention: a special-unitary 2x2 matrix is carried as the complex
 pair (u1, u2) with matrix [[u1, -conj(u2)], [u2, conj(u1)]].  One exact
@@ -70,43 +72,6 @@ def _su2_product_loop(hx, hy, hz, dt):
     return u1 / norm, u2 / norm
 
 
-def _su2_trajectory_loop(hx, hy, hz, dt, u1_out, u2_out):
-    # h arrays are sampled on the substep NODES (n values -> n-1 steps).
-    # Each step uses the exact exponential of the fourth-order Magnus log,
-    # which is exact (to O(dt^5)) for a Hamiltonian linear in t:
-    #   heff = dt*(h_k + h_{k+1})/2 - dt^2/6 * (h_k x h_{k+1})
-    n = hx.shape[0]
-    u1 = 1.0 + 0.0j
-    u2 = 0.0 + 0.0j
-    u1_out[0] = u1
-    u2_out[0] = u2
-    c6 = dt * dt / 6.0
-    for k in range(n - 1):
-        mx = 0.5 * dt * (hx[k] + hx[k + 1]) - c6 * (hy[k] * hz[k + 1] - hz[k] * hy[k + 1])
-        my = 0.5 * dt * (hy[k] + hy[k + 1]) - c6 * (hz[k] * hx[k + 1] - hx[k] * hz[k + 1])
-        mz = 0.5 * dt * (hz[k] + hz[k + 1]) - c6 * (hx[k] * hy[k + 1] - hy[k] * hx[k + 1])
-        a = np.sqrt(mx * mx + my * my + mz * mz)
-        if a > 0.0:
-            c = np.cos(a)
-            snc = np.sin(a) / a
-        else:
-            c = 1.0
-            snc = 1.0
-        s1 = c - 1j * snc * mz
-        s2 = snc * (my - 1j * mx)
-        w1 = s1 * u1 - np.conj(s2) * u2
-        w2 = s2 * u1 + np.conj(s1) * u2
-        u1 = w1
-        u2 = w2
-        if k % _RENORM_EVERY == _RENORM_EVERY - 1:
-            norm = np.sqrt(abs(u1) ** 2 + abs(u2) ** 2)
-            u1 = u1 / norm
-            u2 = u2 / norm
-        u1_out[k + 1] = u1
-        u2_out[k + 1] = u2
-    return u1_out, u2_out
-
-
 def _magnus_nested_loop(vx, vy, vz, dt):
     # Literal O(N^2) nested trapezoid of the commutator double integral,
     # reported as the real vector R2 = int r x rdot dt.
@@ -161,36 +126,6 @@ def _su2_product_numpy(hx, hy, hz, dt):
     return complex(s1[0]), complex(s2[0])
 
 
-def _su2_trajectory_numpy(hx, hy, hz, dt):
-    # Step factors are prepared vectorized; the sequential recurrence runs
-    # as a plain Python loop over scalars.
-    ha = np.stack([hx, hy, hz], axis=1)
-    mid = 0.5 * dt * (ha[:-1] + ha[1:]) - (dt * dt / 6.0) * np.cross(ha[:-1], ha[1:])
-    a = np.linalg.norm(mid, axis=1)
-    safe = np.where(a > 0.0, a, 1.0)
-    snc = np.where(a > 0.0, np.sin(safe) / safe, 1.0)
-    s1 = np.cos(a) - 1j * snc * mid[:, 2]
-    s2 = snc * (mid[:, 1] - 1j * mid[:, 0])
-    n = hx.shape[0]
-    u1_out = np.empty(n, dtype=np.complex128)
-    u2_out = np.empty(n, dtype=np.complex128)
-    u1 = 1.0 + 0.0j
-    u2 = 0.0 + 0.0j
-    u1_out[0] = u1
-    u2_out[0] = u2
-    for k in range(n - 1):
-        w1 = s1[k] * u1 - np.conj(s2[k]) * u2
-        w2 = s2[k] * u1 + np.conj(s1[k]) * u2
-        u1, u2 = w1, w2
-        if k % _RENORM_EVERY == _RENORM_EVERY - 1:
-            norm = np.sqrt(abs(u1) ** 2 + abs(u2) ** 2)
-            u1 /= norm
-            u2 /= norm
-        u1_out[k + 1] = u1
-        u2_out[k + 1] = u2
-    return u1_out, u2_out
-
-
 def _magnus_nested_numpy(vx, vy, vz, dt):
     # Same O(N^2) nested sum, with the inner trapezoid vectorized per row.
     v = np.stack([vx, vy, vz], axis=1)
@@ -208,11 +143,9 @@ def _magnus_nested_numpy(vx, vy, vz, dt):
 
 if HAVE_NUMBA:
     _su2_product_nb = numba.njit(cache=True)(_su2_product_loop)
-    _su2_trajectory_nb = numba.njit(cache=True)(_su2_trajectory_loop)
     _magnus_nested_nb = numba.njit(cache=True)(_magnus_nested_loop)
 else:  # pragma: no cover
     _su2_product_nb = None
-    _su2_trajectory_nb = None
     _magnus_nested_nb = None
 
 
@@ -228,14 +161,56 @@ def su2_product(hx, hy, hz, dt):
     return _su2_product_numpy(hx, hy, hz, float(dt))
 
 
+def _compose(b1, b2, a1, a2):
+    # (b1, b2) applied after (a1, a2): the product B A of the 2x2 matrices
+    return b1 * a1 - np.conj(b2) * a2, b2 * a1 + np.conj(b1) * a2
+
+
 def su2_trajectory(hx, hy, hz, dt):
-    """Evolution (u1, u2) at every substep node for node-sampled h arrays."""
+    """Evolution (u1, u2) at every substep node for node-sampled h arrays.
+
+    Each step is the exact exponential of the fourth-order Magnus log, which
+    is exact to O(dt^5) for a Hamiltonian linear in t:
+    heff = dt*(h_k + h_{k+1})/2 - dt^2/6 * (h_k x h_{k+1}).  The prefix
+    products form a blocked two-level scan (Blelloch 1990): about sqrt(m)
+    blocks of about sqrt(m) steps, padded with identity steps, are scanned
+    side by side; the block totals are then chained into one carry per
+    block and applied in a single multiply.
+    """
     hx, hy, hz = _prep(hx, hy, hz)
-    if USE_NUMBA:
-        u1 = np.empty(hx.shape[0], dtype=np.complex128)
-        u2 = np.empty(hx.shape[0], dtype=np.complex128)
-        return _su2_trajectory_nb(hx, hy, hz, float(dt), u1, u2)
-    return _su2_trajectory_numpy(hx, hy, hz, float(dt))
+    dt = float(dt)
+    ha = np.stack([hx, hy, hz], axis=1)
+    mid = 0.5 * dt * (ha[:-1] + ha[1:]) - (dt * dt / 6.0) * np.cross(ha[:-1], ha[1:])
+    a = np.linalg.norm(mid, axis=1)
+    safe = np.where(a > 0.0, a, 1.0)
+    snc = np.where(a > 0.0, np.sin(safe) / safe, 1.0)
+    m = mid.shape[0]
+    width = max(1, int(np.ceil(np.sqrt(m))))
+    blocks = -(-m // width)
+    # step factors laid out (position in block, block), identity-padded
+    p1 = np.ones(blocks * width, dtype=np.complex128)
+    p2 = np.zeros(blocks * width, dtype=np.complex128)
+    p1[:m] = np.cos(a) - 1j * snc * mid[:, 2]
+    p2[:m] = snc * (mid[:, 1] - 1j * mid[:, 0])
+    p1 = np.ascontiguousarray(p1.reshape(blocks, width).T)
+    p2 = np.ascontiguousarray(p2.reshape(blocks, width).T)
+    for j in range(1, width):
+        p1[j], p2[j] = _compose(p1[j], p2[j], p1[j - 1], p2[j - 1])
+    # carry into block b: the product of the totals of blocks 0..b-1
+    c1 = np.empty(blocks, dtype=np.complex128)
+    c2 = np.empty(blocks, dtype=np.complex128)
+    w1, w2 = 1.0 + 0.0j, 0.0j
+    for b, (t1, t2) in enumerate(zip(p1[-1].tolist(), p2[-1].tolist())):
+        c1[b], c2[b] = w1, w2
+        w1, w2 = t1 * w1 - t2.conjugate() * w2, t2 * w1 + t1.conjugate() * w2
+    p1, p2 = _compose(p1, p2, c1, c2)
+    u1 = np.empty(m + 1, dtype=np.complex128)
+    u2 = np.empty(m + 1, dtype=np.complex128)
+    u1[0], u2[0] = 1.0, 0.0
+    u1[1:] = p1.T.reshape(-1)[:m]
+    u2[1:] = p2.T.reshape(-1)[:m]
+    norm = np.sqrt(np.abs(u1) ** 2 + np.abs(u2) ** 2)
+    return u1 / norm, u2 / norm
 
 
 def magnus_nested_r2(vx, vy, vz, dt):

@@ -9,6 +9,7 @@ grid; convergence is certified by sample-doubling tests rather than splines.
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -534,7 +535,7 @@ def _parse_curve_rows(rows, where):
             vals = [float(v) for v in row]
         except ValueError as exc:
             raise InputError(f"{where}: line {lineno}: {exc}") from exc
-        if not all(np.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise InputError(f"{where}: line {lineno}: non-finite value")
         if t and vals[0] <= t[-1]:
             raise InputError(f"{where}: line {lineno}: t must be strictly increasing")

@@ -1,11 +1,13 @@
-"""Noisy two-level evolution, gate fidelity sweeps, and Magnus-term oracles.
+"""Noisy two-level evolution, gate fidelity sweeps, and Magnus error integrals.
 
 The Hamiltonian is (omega_x/2) sx + (omega_y/2) sy + delta_beta sz with the
 Cartesian drive components interpolated linearly between waveform samples.
 ``propagate`` multiplies exact substep propagators with midpoint-sampled
 coefficients; the interaction-frame trajectory behind the Magnus integrals
 uses a higher-order per-substep log so the quadratures, not the stepping,
-limit the accuracy.
+limit the accuracy.  The Magnus integrals take one trajectory and linear
+quadratures; the O(N^2) nested quadrature runs only as an opt-in oracle
+(``magnus_errors(..., nested=True)``).
 """
 
 from dataclasses import dataclass
@@ -50,7 +52,8 @@ class MagnusErrors:
 
     a1_vector is the Pauli vector of the first integral (the curve endpoint);
     a2_vector is the real second-order vector R2 (the operator is -i R2.sigma).
-    route_disagreement compares the nested O(N^2) and single-pass quadratures.
+    route_disagreement compares the nested O(N^2) and single-pass quadratures;
+    it is None unless magnus_errors ran with nested=True.
     """
 
     a1_vector: np.ndarray
@@ -248,22 +251,25 @@ def _a2_end_correction(v, dt):
     return np.trapezoid(np.cross(delta_r, v), dx=dt, axis=0)
 
 
-def magnus_errors(pulse, refinement=None, nested="auto"):
+def magnus_errors(pulse, refinement=None, nested=False):
     """First- and second-order error integrals from the actual evolution.
 
     The interaction-frame axis U0^dag sz U0 is evaluated on the substep grid
-    and integrated by end-corrected trapezoid rules.  The second integral is
-    computed twice: a literal O(N^2) nested trapezoid (capped at
-    8192 substeps) and a single-pass accumulation; their disagreement is
-    reported.  nested may be True, False, or "auto" (run when within cap).
+    and integrated by end-corrected trapezoid rules; the second integral is
+    a single-pass accumulation on the corrected prefixes, linear in the
+    substep count.  nested=True also runs the literal O(N^2) nested
+    trapezoid (capped at MAGNUS_SUBSTEP_CAP substeps) as a test oracle and
+    reports its disagreement; route_disagreement is None otherwise.
+    nested="auto" is accepted as a synonym for False.
     """
+    if not (isinstance(nested, bool) or nested == "auto"):
+        raise InputError(f"nested must be True or False, got {nested!r}")
     n = pulse.n_samples
     if refinement is None:
         refinement = max(1, (MAGNUS_SUBSTEP_CAP - 1) // (n - 1))
     refinement = int(refinement)
     substeps = (n - 1) * refinement + 1
 
-    run_nested = nested is True or (nested == "auto" and substeps <= MAGNUS_SUBSTEP_CAP)
     if nested is True and substeps > MAGNUS_SUBSTEP_CAP:
         raise InputError(
             f"nested route limited to {MAGNUS_SUBSTEP_CAP} substeps, got {substeps}"
@@ -278,17 +284,16 @@ def magnus_errors(pulse, refinement=None, nested="auto"):
     a2_single = np.trapezoid(np.cross(r_sim, v), dx=dt, axis=0)
 
     disagreement = None
-    a2 = a2_single
-    if run_nested:
+    if nested is True:
         a2_nested = _accel.magnus_nested_r2(v[:, 0], v[:, 1], v[:, 2], dt)
         a2_nested = a2_nested + _a2_end_correction(v, dt)
         disagreement = float(np.max(np.abs(a2_nested - a2_single)))
 
     return MagnusErrors(
         a1_vector=a1,
-        a2_vector=a2,
+        a2_vector=a2_single,
         a1_norm=float(np.linalg.norm(a1)),
-        a2_norm=float(np.linalg.norm(a2)),
+        a2_norm=float(np.linalg.norm(a2_single)),
         substeps=substeps,
         route_disagreement=disagreement,
     )

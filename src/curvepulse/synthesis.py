@@ -14,6 +14,7 @@ never change the result.
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -525,7 +526,7 @@ def read_pulse_file(path):
                     vals = [float(v) for v in row]
                 except ValueError as exc:
                     raise InputError(f"{path}: line {lineno}: {exc}") from exc
-                if not all(np.isfinite(v) for v in vals):
+                if not all(map(math.isfinite, vals)):
                     raise InputError(f"{path}: line {lineno}: non-finite value")
                 if t_list and vals[0] <= t_list[-1]:
                     raise InputError(f"{path}: line {lineno}: t must be strictly increasing")

@@ -69,6 +69,44 @@ def _transport_reference(points, tangent, rddot, m1):
     return a_out, b_out
 
 
+def _trajectory_reference(hx, hy, hz, dt):
+    # One fourth-order Magnus step per node interval, multiplied in order:
+    # the sequential form of the trajectory, kept as the reference for the
+    # blocked scan.  heff = dt*(h_k + h_{k+1})/2 - dt^2/6 * (h_k x h_{k+1})
+    n = hx.shape[0]
+    u1_out = np.empty(n, dtype=np.complex128)
+    u2_out = np.empty(n, dtype=np.complex128)
+    u1 = 1.0 + 0.0j
+    u2 = 0.0 + 0.0j
+    u1_out[0] = u1
+    u2_out[0] = u2
+    c6 = dt * dt / 6.0
+    for k in range(n - 1):
+        mx = 0.5 * dt * (hx[k] + hx[k + 1]) - c6 * (hy[k] * hz[k + 1] - hz[k] * hy[k + 1])
+        my = 0.5 * dt * (hy[k] + hy[k + 1]) - c6 * (hz[k] * hx[k + 1] - hx[k] * hz[k + 1])
+        mz = 0.5 * dt * (hz[k] + hz[k + 1]) - c6 * (hx[k] * hy[k + 1] - hy[k] * hx[k + 1])
+        a = np.sqrt(mx * mx + my * my + mz * mz)
+        if a > 0.0:
+            c = np.cos(a)
+            snc = np.sin(a) / a
+        else:
+            c = 1.0
+            snc = 1.0
+        s1 = c - 1j * snc * mz
+        s2 = snc * (my - 1j * mx)
+        w1 = s1 * u1 - np.conj(s2) * u2
+        w2 = s2 * u1 + np.conj(s1) * u2
+        u1 = w1
+        u2 = w2
+        if k % 512 == 511:
+            norm = np.sqrt(abs(u1) ** 2 + abs(u2) ** 2)
+            u1 = u1 / norm
+            u2 = u2 / norm
+        u1_out[k + 1] = u1
+        u2_out[k + 1] = u2
+    return u1_out, u2_out
+
+
 def _stadium(tmp_path):
     # starts on a straight run, loaded through the CSV route
     cp.save_curve_csv(stadium_rows(), tmp_path / "stadium.csv")
@@ -109,14 +147,17 @@ class TestPathEquality:
             assert abs(c2 - b2) < 1e-13
 
     def test_trajectory_paths_agree(self, step_fields):
-        hx, hy, hz, dt = step_fields
-        a1, a2 = _accel._su2_trajectory_numpy(hx, hy, hz, dt)
-        if _accel.HAVE_NUMBA:
-            u1 = np.empty(len(hx), dtype=np.complex128)
-            u2 = np.empty(len(hx), dtype=np.complex128)
-            b1, b2 = _accel._su2_trajectory_nb(hx, hy, hz, dt, u1, u2)
-            assert np.max(np.abs(a1 - b1)) < 1e-12
-            assert np.max(np.abs(a2 - b2)) < 1e-12
+        # 32761 nodes give 32760 steps, not a perfect square, so the last
+        # block is padded with identity steps
+        cases = {"step_fields": step_fields}
+        for nodes in (32761, 2, 3):
+            rng = np.random.default_rng(nodes)
+            cases[nodes] = (*rng.normal(scale=2.0, size=(3, nodes)), 1.0 / 4096)
+        for label, (hx, hy, hz, dt) in cases.items():
+            a1, a2 = _accel.su2_trajectory(hx, hy, hz, dt)
+            b1, b2 = _trajectory_reference(hx, hy, hz, dt)
+            assert np.max(np.abs(a1 - b1)) < 1e-12, label
+            assert np.max(np.abs(a2 - b2)) < 1e-12, label
 
     def test_magnus_paths_agree(self):
         rng = np.random.default_rng(23)
@@ -125,14 +166,16 @@ class TestPathEquality:
         v /= np.linalg.norm(v, axis=1)[:, None]
         dt = 1.0 / (n - 1)
         a = _accel._magnus_nested_numpy(v[:, 0], v[:, 1], v[:, 2], dt)
+        b = _accel._magnus_nested_loop(v[:, 0], v[:, 1], v[:, 2], dt)
+        assert np.max(np.abs(np.array(a) - np.array(b))) < 1e-12
         if _accel.HAVE_NUMBA:
-            b = _accel._magnus_nested_nb(
+            c = _accel._magnus_nested_nb(
                 np.ascontiguousarray(v[:, 0]),
                 np.ascontiguousarray(v[:, 1]),
                 np.ascontiguousarray(v[:, 2]),
                 dt,
             )
-            assert np.max(np.abs(np.array(a) - np.array(b))) < 1e-12
+            assert np.max(np.abs(np.array(c) - np.array(b))) < 1e-12
 
     def test_trajectory_final_matches_product_limit(self, step_fields):
         # node-sampled trajectory and midpoint product converge to the same

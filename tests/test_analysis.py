@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import curvepulse as cp
+from curvepulse import _accel
 from curvepulse._numerics import kabsch_align
+from curvepulse.cli import main
 from curvepulse.errors import InputError
 
 from conftest import helix_curve
@@ -80,6 +82,19 @@ class TestRobustnessReport:
         report = cp.robustness_report(builtin_pulses["alpha_eq12"])
         assert abs(report.magnus_a1_norm - report.closure_residual) < 1e-8
         assert np.max(np.abs(report.r2_vector - cp.magnus_errors(builtin_pulses["alpha_eq12"]).a2_vector)) < 1e-8
+
+    def test_nested_route_not_run(self, builtin_pulses, tmp_path, monkeypatch):
+        # the O(N^2) nested quadrature is a test oracle; no output reads it
+        def nested_called(*args):
+            raise AssertionError("robustness_report ran the nested Magnus route")
+
+        monkeypatch.setattr(_accel, "magnus_nested_r2", nested_called)
+        pulse = builtin_pulses["circle"]
+        assert cp.robustness_report(pulse).classification == "first-order"
+        cp.save_pulse_csv(pulse, tmp_path / "circle.csv")
+        out = tmp_path / "an"
+        assert main(["analyze", "--pulse-file", str(tmp_path / "circle.csv"), "--out", str(out)]) == 0
+        assert (out / "report.json").exists()
 
     def test_perturbation_degrades_closure(self, builtin_frenet):
         f = builtin_frenet["alpha_eq12"]
@@ -188,6 +203,12 @@ class TestImport:
         path = tmp_path / "bad.csv"
         path.write_text("t,omega_x,omega_y\n0,1,0\n0.1,nan,0\n")
         with pytest.raises(InputError, match="non-finite"):
+            cp.import_external_pulse(path)
+
+    def test_inf_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,omega_x,omega_y\n0,1,0\n0.1,1,0\n0.2,0,-inf\n")
+        with pytest.raises(InputError, match="line 4: non-finite"):
             cp.import_external_pulse(path)
 
     def test_bad_header_rejected(self, tmp_path):

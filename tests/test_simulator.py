@@ -137,9 +137,21 @@ class TestMagnus:
 
     def test_routes_agree(self, builtin_pulses):
         for name in ("circle", "alpha_eq12", "clifford_fig1"):
-            mag = cp.magnus_errors(builtin_pulses[name])
+            mag = cp.magnus_errors(builtin_pulses[name], nested=True)
             assert mag.route_disagreement is not None
             assert mag.route_disagreement < 1e-9, name
+
+    def test_nested_flag(self, builtin_pulses):
+        pulse = builtin_pulses["circle"]
+        plain = cp.magnus_errors(pulse)
+        assert plain.route_disagreement is None
+        # "auto" survives as a synonym for False and never runs the nested route
+        auto = cp.magnus_errors(pulse, nested="auto")
+        assert auto.route_disagreement is None
+        assert np.array_equal(auto.a2_vector, plain.a2_vector)
+        for bad in ("always", None, 1):
+            with pytest.raises(InputError, match="nested"):
+                cp.magnus_errors(pulse, nested=bad)
 
     def test_substep_cap(self, builtin_pulses):
         with pytest.raises(InputError):
