@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._files import overwrite
 from .analysis import curve_from_pulse, import_external_pulse, robustness_report
 from .curves import (
     BUILTIN_CURVES,
@@ -37,7 +38,7 @@ def _sha256(path):
 
 
 def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
+    with overwrite(path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -116,14 +117,15 @@ def cmd_synth(args):
 
     save_pulse_csv(pulse, outdir / "pulse.csv")
     save_pulse_json(pulse, outdir / "pulse.json")
-    np.savetxt(
-        outdir / "frenet.csv",
-        np.column_stack([frenet.t, frenet.curvature, frenet.torsion]),
-        fmt="%.17g",
-        delimiter=",",
-        header="t,kappa,tau",
-        comments="",
-    )
+    with overwrite(outdir / "frenet.csv") as fh:
+        np.savetxt(
+            fh,
+            np.column_stack([frenet.t, frenet.curvature, frenet.torsion]),
+            fmt="%.17g",
+            delimiter=",",
+            header="t,kappa,tau",
+            comments="",
+        )
     m = gate.unitary.matrix
     _write_json(
         outdir / "gate.json",
@@ -164,14 +166,15 @@ def cmd_analyze(args):
 
     _write_json(outdir / "report.json", report.to_dict())
     save_curve_csv(report.reconstructed_curve, outdir / "curve.csv")
-    np.savetxt(
-        outdir / "theta.csv",
-        np.column_stack([report.reconstructed_curve.t, report.theta_track]),
-        fmt="%.17g",
-        delimiter=",",
-        header="t,theta",
-        comments="",
-    )
+    with overwrite(outdir / "theta.csv") as fh:
+        np.savetxt(
+            fh,
+            np.column_stack([report.reconstructed_curve.t, report.theta_track]),
+            fmt="%.17g",
+            delimiter=",",
+            header="t,theta",
+            comments="",
+        )
     config = {
         "pulse_file": str(args.pulse_file),
         "refinement": args.refinement,
@@ -227,14 +230,15 @@ def _parse_grid(text, duration):
 
 
 def _write_sweep(outdir, prefix, sweep, target_info):
-    np.savetxt(
-        outdir / f"{prefix}sweep.csv",
-        np.column_stack([sweep.delta_beta, sweep.infidelity]),
-        fmt="%.17g",
-        delimiter=",",
-        header="delta_beta,infidelity",
-        comments="",
-    )
+    with overwrite(outdir / f"{prefix}sweep.csv") as fh:
+        np.savetxt(
+            fh,
+            np.column_stack([sweep.delta_beta, sweep.infidelity]),
+            fmt="%.17g",
+            delimiter=",",
+            header="delta_beta,infidelity",
+            comments="",
+        )
     _write_json(
         outdir / f"{prefix}fit.json",
         {

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
+from ._files import overwrite
 from ._numerics import cumulative_cross_integral, fd1, fd2, fd3
 from .errors import InputError
 
@@ -512,7 +513,8 @@ def reconstruct_from_frenet(frenet, r0=None, frame0=None):
 def save_curve_csv(curve, path):
     header = "t,x,y,z"
     data = np.column_stack([curve.t, curve.points])
-    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=header, comments="")
+    with overwrite(path) as fh:
+        np.savetxt(fh, data, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def save_curve_json(curve, path):
@@ -520,7 +522,7 @@ def save_curve_json(curve, path):
         "samples": np.column_stack([curve.t, curve.points]).tolist(),
         "source_tag": curve.source_tag,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with overwrite(path) as fh:
         json.dump(payload, fh, sort_keys=True)
         fh.write("\n")
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _accel
+from ._files import overwrite
 from ._numerics import carried_unwrap, cumtrapz, fd1, fd2
 from .curves import frenet_data
 from .errors import InputError, NoSolutionError
@@ -455,9 +456,10 @@ def save_pulse_csv(pulse, path):
     if pulse.detuning is not None:
         cols.append(pulse.detuning)
         header += ",detuning"
-    np.savetxt(
-        path, np.column_stack(cols), fmt="%.17g", delimiter=",", header=header, comments=""
-    )
+    with overwrite(path) as fh:
+        np.savetxt(
+            fh, np.column_stack(cols), fmt="%.17g", delimiter=",", header=header, comments=""
+        )
 
 
 def _clean_metadata(metadata):
@@ -472,7 +474,7 @@ def save_pulse_json(pulse, path):
         "detuning": None if pulse.detuning is None else pulse.detuning.tolist(),
         "metadata": _clean_metadata(pulse.metadata),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with overwrite(path) as fh:
         json.dump(payload, fh, sort_keys=True)
         fh.write("\n")
 

@@ -248,6 +248,30 @@ class TestDeterminism:
         assert main(args + ["--out", str(out2)]) == 0
         assert tree_hashes(out1) == tree_hashes(out2)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--builtin", "circle", "--samples", "256"],
+            ["analyze", "--pulse-file", None],
+            ["sweep", "--pulse-file", None, "--grid", "1e-4:1e-2:5"],
+        ],
+        ids=["synth", "analyze", "sweep"],
+    )
+    def test_rerun_trims_longer_outputs(self, tmp_path, argv):
+        # A rerun writes over the outputs already in --out; whatever an old
+        # file held past the new end must be cut off.
+        pulse_file = tmp_path / "sq.csv"
+        cp.save_pulse_csv(cp.square_pulse(1.0, n_samples=256), pulse_file)
+        argv = [str(pulse_file) if a is None else a for a in argv]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 0
+        first = tree_hashes(out)
+        for name in first:
+            with open(out / name, "ab") as fh:
+                fh.write(b"stale,tail\n" * 1000)
+        assert main(argv + ["--out", str(out)]) == 0
+        assert tree_hashes(out) == first
+
     def test_manifest_records_hashes(self, synth_out):
         manifest = json.loads((synth_out / "manifest.json").read_text())
         for name, digest in manifest["outputs"].items():
