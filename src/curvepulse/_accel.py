@@ -1,17 +1,20 @@
 """Hot kernels: SU(2) products and trajectories, the nested Magnus sum, and
 the twist-free frame transport.
 
-The SU(2) product and the nested Magnus sum are numba-jitted loops with
-pure-NumPy fallbacks.  Setting the environment variable
-CURVEPULSE_NO_NUMBA=1 (checked at import time) forces the fallback path.
-The nested Magnus sum is an O(N^2) test oracle: ``simulator.magnus_errors``
-runs it only when asked with nested=True.  The trajectory is a blocked
-NumPy prefix scan and the frame transport a single vectorized NumPy kernel;
-neither has a numba twin.  ``bench/bench_kernels.py`` times every kernel.
+Every SU(2) evolution steps with one fourth-order Magnus step over
+node-sampled Pauli coefficients (``_magnus4_factors``).  ``su2_product``
+forms only the final product, by pairwise reduction, for one Hamiltonian
+or a batch of them; ``su2_trajectory`` forms every prefix by a blocked
+NumPy scan.  The frame transport is a single vectorized NumPy kernel.
+None of these has a numba twin.  The nested Magnus sum is an O(N^2) test
+oracle (``simulator.magnus_errors`` runs it only when asked with
+nested=True); it is the one numba-jitted loop, with a pure-NumPy fallback
+that the environment variable CURVEPULSE_NO_NUMBA=1 (checked at import
+time) forces.
 
 State convention: a special-unitary 2x2 matrix is carried as the complex
-pair (u1, u2) with matrix [[u1, -conj(u2)], [u2, conj(u1)]].  One exact
-step for a constant Pauli vector h over dt is exp(-i*dt*h.sigma).
+pair (u1, u2) with matrix [[u1, -conj(u2)], [u2, conj(u1)]].  One step
+with effective Pauli vector heff is the exact exponential exp(-i heff.sigma).
 """
 
 import os
@@ -27,7 +30,9 @@ __all__ = [
     "transport_components",
 ]
 
-_RENORM_EVERY = 512
+# step factors per chunk of batch rows in su2_product; a chunk's working set
+# is about 72 B per factor, so about 18 MiB whatever the batch size
+_CHUNK_FACTORS = 1 << 18
 
 try:
     import numba
@@ -42,34 +47,6 @@ USE_NUMBA = HAVE_NUMBA and os.environ.get("CURVEPULSE_NO_NUMBA", "").lower() not
     "true",
     "yes",
 )
-
-
-def _su2_product_loop(hx, hy, hz, dt):
-    # Ordered product of exact substep propagators; h arrays hold the
-    # piecewise-constant Pauli coefficients for each substep.
-    u1 = 1.0 + 0.0j
-    u2 = 0.0 + 0.0j
-    n = hx.shape[0]
-    for k in range(n):
-        a = np.sqrt(hx[k] * hx[k] + hy[k] * hy[k] + hz[k] * hz[k]) * dt
-        if a > 0.0:
-            c = np.cos(a)
-            snc = np.sin(a) / a * dt
-        else:
-            c = 1.0
-            snc = dt
-        s1 = c - 1j * snc * hz[k]
-        s2 = snc * (hy[k] - 1j * hx[k])
-        w1 = s1 * u1 - np.conj(s2) * u2
-        w2 = s2 * u1 + np.conj(s1) * u2
-        u1 = w1
-        u2 = w2
-        if k % _RENORM_EVERY == _RENORM_EVERY - 1:
-            norm = np.sqrt(abs(u1) ** 2 + abs(u2) ** 2)
-            u1 = u1 / norm
-            u2 = u2 / norm
-    norm = np.sqrt(abs(u1) ** 2 + abs(u2) ** 2)
-    return u1 / norm, u2 / norm
 
 
 def _magnus_nested_loop(vx, vy, vz, dt):
@@ -99,33 +76,6 @@ def _magnus_nested_loop(vx, vy, vz, dt):
     return r2x, r2y, r2z
 
 
-def _su2_product_numpy(hx, hy, hz, dt):
-    # Pairwise (log-depth) reduction of the substep propagator sequence.
-    a = np.sqrt(hx * hx + hy * hy + hz * hz) * dt
-    safe = np.where(a > 0.0, a, 1.0)
-    snc = np.where(a > 0.0, np.sin(safe) / safe, 1.0) * dt
-    s1 = np.cos(a) - 1j * snc * hz
-    s2 = snc * (hy - 1j * hx)
-    while s1.shape[0] > 1:
-        if s1.shape[0] % 2 == 1:
-            t1, t2 = s1[-1], s2[-1]
-            s1, s2 = s1[:-1], s2[:-1]
-        else:
-            t1 = None
-            t2 = None
-        a1, a2 = s1[0::2], s2[0::2]
-        b1, b2 = s1[1::2], s2[1::2]
-        s1 = b1 * a1 - np.conj(b2) * a2
-        s2 = b2 * a1 + np.conj(b1) * a2
-        norm = np.sqrt(np.abs(s1) ** 2 + np.abs(s2) ** 2)
-        s1 = s1 / norm
-        s2 = s2 / norm
-        if t1 is not None:
-            s1 = np.concatenate([s1, [t1]])
-            s2 = np.concatenate([s2, [t2]])
-    return complex(s1[0]), complex(s2[0])
-
-
 def _magnus_nested_numpy(vx, vy, vz, dt):
     # Same O(N^2) nested sum, with the inner trapezoid vectorized per row.
     v = np.stack([vx, vy, vz], axis=1)
@@ -142,10 +92,8 @@ def _magnus_nested_numpy(vx, vy, vz, dt):
 
 
 if HAVE_NUMBA:
-    _su2_product_nb = numba.njit(cache=True)(_su2_product_loop)
     _magnus_nested_nb = numba.njit(cache=True)(_magnus_nested_loop)
 else:  # pragma: no cover
-    _su2_product_nb = None
     _magnus_nested_nb = None
 
 
@@ -153,12 +101,31 @@ def _prep(*arrays):
     return tuple(np.ascontiguousarray(a, dtype=np.float64) for a in arrays)
 
 
-def su2_product(hx, hy, hz, dt):
-    """Product of exact substep propagators; returns the final (u1, u2)."""
-    hx, hy, hz = _prep(hx, hy, hz)
-    if USE_NUMBA:
-        return _su2_product_nb(hx, hy, hz, float(dt))
-    return _su2_product_numpy(hx, hy, hz, float(dt))
+def _magnus4_factors(hx, hy, hz, dt):
+    # Step factors (s1, s2) of exp(-i heff.sigma) for each node interval
+    # along the last axis, with the two-node fourth-order Magnus log
+    # heff = dt*(h_k + h_{k+1})/2 - dt^2/6 * (h_k x h_{k+1}), which is exact
+    # to O(dt^5) for a Hamiltonian linear in t.  The h arrays broadcast, so
+    # a batch axis on one of them gives one row of factors per batch entry.
+    x0, x1 = hx[..., :-1], hx[..., 1:]
+    y0, y1 = hy[..., :-1], hy[..., 1:]
+    z0, z1 = hz[..., :-1], hz[..., 1:]
+    half = 0.5 * dt
+    c6 = dt * dt / 6.0
+    # x and z are carried negated (nx = -heff_x, nz = -heff_z): the factors
+    # take them with that sign, and the norm does not see it
+    nx = c6 * (y0 * z1 - z0 * y1) - half * (x0 + x1)
+    my = half * (y0 + y1) - c6 * (z0 * x1 - x0 * z1)
+    nz = c6 * (x0 * y1 - y0 * x1) - half * (z0 + z1)
+    a = np.sqrt(nx * nx + my * my + nz * nz)
+    snc = np.divide(np.sin(a), a, out=np.ones_like(a), where=a > 0.0)
+    s1 = np.empty(a.shape, dtype=np.complex128)
+    s2 = np.empty(a.shape, dtype=np.complex128)
+    np.cos(a, out=s1.real)
+    np.multiply(snc, nz, out=s1.imag)
+    np.multiply(snc, my, out=s2.real)
+    np.multiply(snc, nx, out=s2.imag)
+    return s1, s2
 
 
 def _compose(b1, b2, a1, a2):
@@ -166,32 +133,70 @@ def _compose(b1, b2, a1, a2):
     return b1 * a1 - np.conj(b2) * a2, b2 * a1 + np.conj(b1) * a2
 
 
+def _pairwise_product(s1, s2):
+    # Ordered product of the step factors along the last axis by log-depth
+    # pairwise reduction; an odd last factor is folded into its neighbour.
+    # The rounding error grows with the depth, not the length, so one
+    # normalization at the end suffices.
+    while s1.shape[-1] > 1:
+        if s1.shape[-1] % 2:
+            s1[..., -2], s2[..., -2] = _compose(
+                s1[..., -1], s2[..., -1], s1[..., -2], s2[..., -2]
+            )
+            s1, s2 = s1[..., :-1], s2[..., :-1]
+        s1, s2 = _compose(s1[..., 1::2], s2[..., 1::2], s1[..., 0::2], s2[..., 0::2])
+    u1, u2 = s1[..., 0], s2[..., 0]
+    norm = np.sqrt(np.abs(u1) ** 2 + np.abs(u2) ** 2)
+    return u1 / norm, u2 / norm
+
+
+def su2_product(hx, hy, hz, dt):
+    """Final evolution (u1, u2) over node-sampled h arrays.
+
+    The steps are those of ``su2_trajectory``; only their ordered product
+    is formed, by pairwise reduction.  hx and hy are 1-D.  A 1-D hz gives
+    (u1, u2) as complex numbers; an hz with a leading batch axis (one row
+    per Hamiltonian, for instance one row per noise value) gives one
+    (u1, u2) per row as arrays.  Rows are reduced in chunks of about
+    _CHUNK_FACTORS step factors, so the working set does not grow with the
+    batch.
+    """
+    hx, hy = _prep(hx, hy)
+    hz = np.asarray(hz, dtype=np.float64)
+    dt = float(dt)
+    rows = np.atleast_2d(hz)
+    chunk = max(1, _CHUNK_FACTORS // (hx.shape[0] - 1))
+    u1 = np.empty(rows.shape[0], dtype=np.complex128)
+    u2 = np.empty(rows.shape[0], dtype=np.complex128)
+    for i in range(0, rows.shape[0], chunk):
+        # one expression, so no name keeps a chunk's factors into the next
+        u1[i : i + chunk], u2[i : i + chunk] = _pairwise_product(
+            *_magnus4_factors(hx, hy, rows[i : i + chunk], dt)
+        )
+    if hz.ndim == 1:
+        return complex(u1[0]), complex(u2[0])
+    return u1, u2
+
+
 def su2_trajectory(hx, hy, hz, dt):
     """Evolution (u1, u2) at every substep node for node-sampled h arrays.
 
-    Each step is the exact exponential of the fourth-order Magnus log, which
-    is exact to O(dt^5) for a Hamiltonian linear in t:
-    heff = dt*(h_k + h_{k+1})/2 - dt^2/6 * (h_k x h_{k+1}).  The prefix
-    products form a blocked two-level scan (Blelloch 1990): about sqrt(m)
-    blocks of about sqrt(m) steps, padded with identity steps, are scanned
-    side by side; the block totals are then chained into one carry per
-    block and applied in a single multiply.
+    The steps are the fourth-order Magnus steps of ``su2_product``.  The
+    prefix products form a blocked two-level scan (Blelloch 1990): about
+    sqrt(m) blocks of about sqrt(m) steps, padded with identity steps, are
+    scanned side by side; the block totals are then chained into one carry
+    per block and applied in a single multiply.
     """
     hx, hy, hz = _prep(hx, hy, hz)
-    dt = float(dt)
-    ha = np.stack([hx, hy, hz], axis=1)
-    mid = 0.5 * dt * (ha[:-1] + ha[1:]) - (dt * dt / 6.0) * np.cross(ha[:-1], ha[1:])
-    a = np.linalg.norm(mid, axis=1)
-    safe = np.where(a > 0.0, a, 1.0)
-    snc = np.where(a > 0.0, np.sin(safe) / safe, 1.0)
-    m = mid.shape[0]
+    s1, s2 = _magnus4_factors(hx, hy, hz, float(dt))
+    m = s1.shape[0]
     width = max(1, int(np.ceil(np.sqrt(m))))
     blocks = -(-m // width)
     # step factors laid out (position in block, block), identity-padded
     p1 = np.ones(blocks * width, dtype=np.complex128)
     p2 = np.zeros(blocks * width, dtype=np.complex128)
-    p1[:m] = np.cos(a) - 1j * snc * mid[:, 2]
-    p2[:m] = snc * (mid[:, 1] - 1j * mid[:, 0])
+    p1[:m] = s1
+    p2[:m] = s2
     p1 = np.ascontiguousarray(p1.reshape(blocks, width).T)
     p2 = np.ascontiguousarray(p2.reshape(blocks, width).T)
     for j in range(1, width):

@@ -248,6 +248,8 @@ def _write_sweep(outdir, prefix, sweep, target_info):
             "n_points": int(sweep.delta_beta.size),
             "n_used": int(sweep.used.sum()),
             "refinement": sweep.refinement,
+            "converged": sweep.converged,
+            "last_delta": sweep.last_delta,
             "grid_min": float(sweep.delta_beta.min()),
             "grid_max": float(sweep.delta_beta.max()),
             "target": target_info,
@@ -272,11 +274,14 @@ def cmd_sweep(args):
     target, target_info = _parse_target(args.target, pulse, refinement)
 
     sweep = infidelity_sweep(pulse, target=target, delta_beta=grid, refinement=refinement)
-    if args.certify:
-        _, cert = propagate(
-            pulse, float(sweep.delta_beta.max()), refinement=sweep.refinement,
-            certify=True, strict=True,
+    if not sweep.converged:
+        message = (
+            f"sweep propagation not converged at refinement {sweep.refinement}: "
+            f"delta {sweep.last_delta:.3e}"
         )
+        if args.certify:
+            raise ConvergenceError(message)
+        print(f"warning: {message}", file=sys.stderr)
     outputs = _write_sweep(outdir, "", sweep, target_info)
 
     if args.compare == "square":

@@ -2,11 +2,13 @@
 
 The Hamiltonian is (omega_x/2) sx + (omega_y/2) sy + delta_beta sz with the
 Cartesian drive components interpolated linearly between waveform samples.
-``propagate`` multiplies exact substep propagators with midpoint-sampled
-coefficients; the interaction-frame trajectory behind the Magnus integrals
-uses a higher-order per-substep log so the quadratures, not the stepping,
-limit the accuracy.  The Magnus integrals take one trajectory and linear
-quadratures; the O(N^2) nested quadrature runs only as an opt-in oracle
+Every evolution steps with one fourth-order Magnus step over the
+node-sampled Hamiltonian: ``propagate`` and ``infidelity_sweep`` form the
+final product (the sweep for all its noise values in one batch), and the
+interaction-frame trajectory behind the Magnus integrals forms every
+prefix, so the quadratures, not the stepping, limit the accuracy.  The
+Magnus integrals take one trajectory and linear quadratures; the O(N^2)
+nested quadrature runs only as an opt-in oracle
 (``magnus_errors(..., nested=True)``).
 """
 
@@ -17,7 +19,7 @@ import numpy as np
 from . import _accel
 from ._numerics import cumtrapz_end_corrected, fd1, trapz_end_corrected
 from .errors import ConvergenceError, InputError
-from .su2 import Unitary2, as_matrix, gate_distance
+from .su2 import Unitary2, as_matrix
 from .synthesis import PulseWaveform
 
 MAX_REFINEMENT = 64
@@ -43,6 +45,8 @@ class NoiseSweepResult:
     residual: float
     used: np.ndarray
     refinement: int
+    converged: bool
+    last_delta: float
     asymmetry: float = None
 
 
@@ -64,32 +68,55 @@ class MagnusErrors:
     route_disagreement: float = None
 
 
-def _substep_midpoints(pulse, delta_beta, refinement):
-    n = pulse.n_samples
-    dt = pulse.dt / refinement
-    total = (n - 1) * refinement
-    t_mid = (np.arange(total) + 0.5) * dt
-    wx = np.interp(t_mid, pulse.t, pulse.omega_x)
-    wy = np.interp(t_mid, pulse.t, pulse.omega_y)
-    hz = np.full(total, float(delta_beta))
-    return 0.5 * wx, 0.5 * wy, hz, dt
-
-
 def _substep_nodes(pulse, delta_beta, refinement):
+    # Pauli coefficients at the substep nodes; a 1-D delta_beta gives hz one
+    # row per noise value, as a broadcast view that allocates no rows
     n = pulse.n_samples
     dt = pulse.dt / refinement
     total = (n - 1) * refinement + 1
     t_nodes = np.arange(total) * dt
     wx = np.interp(t_nodes, pulse.t, pulse.omega_x)
     wy = np.interp(t_nodes, pulse.t, pulse.omega_y)
-    hz = np.full(total, float(delta_beta))
+    db = np.asarray(delta_beta, dtype=float)
+    hz = np.broadcast_to(db[..., None], db.shape + (total,))
     return 0.5 * wx, 0.5 * wy, hz, dt
 
 
-def _propagate_once(pulse, delta_beta, refinement):
-    hx, hy, hz, dt = _substep_midpoints(pulse, delta_beta, refinement)
-    u1, u2 = _accel.su2_product(hx, hy, hz, dt)
-    return Unitary2(u1, u2).normalized()
+def _evolve(pulse, delta_beta, refinement):
+    # final (u1, u2) for a scalar delta_beta, or arrays of them for a 1-D one
+    hx, hy, hz, dt = _substep_nodes(pulse, delta_beta, refinement)
+    return _accel.su2_product(hx, hy, hz, dt)
+
+
+def _largest_change(u, v):
+    # Largest phase-aligned distance between rows of SU(2) pairs.  Tr(u^dag v)
+    # is real for SU(2), so the aligning phase is +-1 and the distance is
+    # the smaller of |u - v| and |u + v| over the pair, free of cancellation.
+    minus = np.abs(u[0] - v[0]) ** 2 + np.abs(u[1] - v[1]) ** 2
+    plus = np.abs(u[0] + v[0]) ** 2 + np.abs(u[1] + v[1]) ** 2
+    return float(np.sqrt(np.max(np.minimum(minus, plus))))
+
+
+def _at_and_doubled(pulse, delta_beta, refinement, tol):
+    # evolution at r and at 2r, and the certificate of r from their change
+    u = _evolve(pulse, delta_beta, refinement)
+    u_fine = _evolve(pulse, delta_beta, 2 * refinement)
+    delta = _largest_change(u, u_fine)
+    return u, u_fine, PropagationCertificate(delta < tol, refinement, delta)
+
+
+def _auto_refined(pulse, delta_beta, tol, max_refinement):
+    # doubles the substep count from r=1 until the largest change over all
+    # noise values is below tol, or max_refinement is reached
+    r = 1
+    u_prev = _evolve(pulse, delta_beta, r)
+    while True:
+        r *= 2
+        u = _evolve(pulse, delta_beta, r)
+        delta = _largest_change(u_prev, u)
+        if delta < tol or r >= max_refinement:
+            return u, PropagationCertificate(delta < tol, r, delta)
+        u_prev = u
 
 
 def propagate(
@@ -103,47 +130,33 @@ def propagate(
 ):
     """Evolution operator of the noisy Hamiltonian over the full waveform.
 
-    With refinement=None the substep count per sample interval is doubled
-    until the result moves by less than `tol` (phase-aligned), up to
-    `max_refinement`.  certify=True returns (unitary, certificate);
-    strict=True raises ConvergenceError instead of returning an
-    unconverged result.
+    Each substep is one fourth-order Magnus step over the node-sampled
+    Hamiltonian, exact for a constant drive and accurate to O(dt^4) for the
+    linearly interpolated one.  With refinement=None the substep count per
+    sample interval is doubled until the result moves by less than `tol`
+    (phase-aligned), up to `max_refinement`.  certify=True returns
+    (unitary, certificate); with a given refinement r the certificate
+    compares r with 2r and the 2r result is returned.  strict=True raises
+    ConvergenceError instead of returning an unconverged result.
     """
     if not isinstance(pulse, PulseWaveform):
         raise InputError("propagate expects a PulseWaveform")
-    if refinement is not None:
-        r = int(refinement)
-        if r < 1:
+    if refinement is None:
+        (u1, u2), cert = _auto_refined(pulse, float(delta_beta), tol, max_refinement)
+    else:
+        refinement = int(refinement)
+        if refinement < 1:
             raise InputError("refinement must be >= 1")
-        u = _propagate_once(pulse, delta_beta, r)
         if not certify:
-            return u
-        u2x = _propagate_once(pulse, delta_beta, 2 * r)
-        delta = gate_distance(u, u2x)
-        cert = PropagationCertificate(delta < tol, r, float(delta))
-        if strict and not cert.converged:
-            raise ConvergenceError(
-                f"propagation not converged at refinement {r}: delta {delta:.3e}"
-            )
-        return u2x, cert
-
-    r = 1
-    u_prev = _propagate_once(pulse, delta_beta, r)
-    while True:
-        r2 = 2 * r
-        u_next = _propagate_once(pulse, delta_beta, r2)
-        delta = gate_distance(u_prev, u_next)
-        if delta < tol:
-            cert = PropagationCertificate(True, r2, float(delta))
-            return (u_next, cert) if certify else u_next
-        if r2 >= max_refinement:
-            cert = PropagationCertificate(False, r2, float(delta))
-            if strict:
-                raise ConvergenceError(
-                    f"propagation not converged at refinement {r2}: delta {delta:.3e}"
-                )
-            return (u_next, cert) if certify else u_next
-        r, u_prev = r2, u_next
+            return Unitary2(*_evolve(pulse, float(delta_beta), refinement))
+        _, (u1, u2), cert = _at_and_doubled(pulse, float(delta_beta), refinement, tol)
+    if strict and not cert.converged:
+        raise ConvergenceError(
+            f"propagation not converged at refinement {cert.refinement}: "
+            f"delta {cert.last_delta:.3e}"
+        )
+    u = Unitary2(u1, u2)
+    return (u, cert) if certify else u
 
 
 def average_gate_infidelity(actual, target):
@@ -172,6 +185,13 @@ def infidelity_sweep(
     target=None measures against the pulse's own noise-free evolution, so
     the fitted exponent reflects pure noise scaling.  Points below `floor`
     sit in the double-precision noise and are excluded from the fit.
+
+    Every grid point, the check_even mirror points and the noise-free
+    self-target are evolved as one batched product.  With refinement=None
+    the substep count is doubled on the whole batch until the largest
+    phase-aligned change over all of it is below the convergence tolerance;
+    a given refinement r is evaluated at r and certified by its change at
+    2r.  `converged` and `last_delta` report that certificate.
     """
     if delta_beta is None:
         delta_beta = default_noise_grid(pulse.duration)
@@ -183,22 +203,27 @@ def infidelity_sweep(
         if decades < 1.49:
             raise InputError("delta_beta grid must span at least 1.5 decades")
 
+    # one batch: the grid, its check_even mirror points, the delta_beta=0
+    # self-target; the certificate covers every row
+    n = delta_beta.size
+    top = np.argsort(delta_beta)[-3:] if check_even else np.arange(0)
+    rows = np.concatenate([delta_beta, -delta_beta[top], [0.0] if target is None else []])
     if refinement is None:
-        _, cert = propagate(pulse, float(delta_beta.max()), certify=True)
-        refinement = cert.refinement
-    refinement = int(refinement)
+        (u1, u2), cert = _auto_refined(pulse, rows, _CONVERGENCE_TOL, MAX_REFINEMENT)
+    else:
+        (u1, u2), _, cert = _at_and_doubled(pulse, rows, int(refinement), _CONVERGENCE_TOL)
 
     if target is None:
-        target_m = propagate(pulse, 0.0, refinement=refinement).matrix
+        target_m = Unitary2(u1[-1], u2[-1]).matrix
     else:
         target_m = as_matrix(getattr(target, "unitary", target))
-
     infid = np.array(
         [
-            average_gate_infidelity(_propagate_once(pulse, db, refinement), target_m)
-            for db in delta_beta
+            average_gate_infidelity(Unitary2(a, b), target_m)
+            for a, b in zip(u1[: n + top.size], u2[: n + top.size])
         ]
     )
+    infid, mirror = infid[:n], infid[n:]
     used = infid > floor
     if int(used.sum()) < 3:
         raise ConvergenceError(
@@ -211,20 +236,20 @@ def infidelity_sweep(
 
     asymmetry = None
     if check_even:
-        top = np.argsort(delta_beta)[-3:]
-        asym = [
-            abs(
-                average_gate_infidelity(
-                    _propagate_once(pulse, -delta_beta[i], refinement), target_m
-                )
-                - infid[i]
-            )
-            for i in top
-        ]
-        asymmetry = float(max(asym) / max(infid[top].max(), 1e-300))
+        asym = np.abs(mirror - infid[top])
+        asymmetry = float(asym.max() / max(infid[top].max(), 1e-300))
 
     return NoiseSweepResult(
-        delta_beta, infid, float(slope), float(intercept), resid, used, refinement, asymmetry
+        delta_beta,
+        infid,
+        float(slope),
+        float(intercept),
+        resid,
+        used,
+        cert.refinement,
+        cert.converged,
+        cert.last_delta,
+        asymmetry,
     )
 
 

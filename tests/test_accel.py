@@ -72,7 +72,8 @@ def _transport_reference(points, tangent, rddot, m1):
 def _trajectory_reference(hx, hy, hz, dt):
     # One fourth-order Magnus step per node interval, multiplied in order:
     # the sequential form of the trajectory, kept as the reference for the
-    # blocked scan.  heff = dt*(h_k + h_{k+1})/2 - dt^2/6 * (h_k x h_{k+1})
+    # blocked scan and, at its last node, for the pairwise product.
+    # heff = dt*(h_k + h_{k+1})/2 - dt^2/6 * (h_k x h_{k+1})
     n = hx.shape[0]
     u1_out = np.empty(n, dtype=np.complex128)
     u2_out = np.empty(n, dtype=np.complex128)
@@ -136,15 +137,30 @@ def step_fields():
 
 class TestPathEquality:
     def test_product_paths_agree(self, step_fields):
+        # the pairwise product equals the last node of the sequential
+        # Magnus4 reference, for odd and even step counts
+        cases = {"step_fields": step_fields}
+        for nodes in (2, 3, 4, 1001):
+            rng = np.random.default_rng(nodes)
+            cases[nodes] = (*rng.normal(scale=2.0, size=(3, nodes)), 1.0 / 64)
+        for label, (hx, hy, hz, dt) in cases.items():
+            a1, a2 = _accel.su2_product(hx, hy, hz, dt)
+            b1, b2 = _trajectory_reference(hx, hy, hz, dt)
+            assert abs(a1 - b1[-1]) < 1e-12, label
+            assert abs(a2 - b2[-1]) < 1e-12, label
+
+    def test_batched_product_matches_rows(self, step_fields):
+        # a batch of hz rows, spanning more than one internal row chunk,
+        # gives the same (u1, u2) as one product per row
         hx, hy, hz, dt = step_fields
-        a1, a2 = _accel._su2_product_numpy(hx, hy, hz, dt)
-        b1, b2 = _accel._su2_product_loop(hx, hy, hz, dt)
-        assert abs(a1 - b1) < 1e-13
-        assert abs(a2 - b2) < 1e-13
-        if _accel.HAVE_NUMBA:
-            c1, c2 = _accel._su2_product_nb(hx, hy, hz, dt)
-            assert abs(c1 - b1) < 1e-13
-            assert abs(c2 - b2) < 1e-13
+        chunk = _accel._CHUNK_FACTORS // (hx.size - 1)
+        rows = hz[None, :] + np.linspace(-1.0, 1.0, chunk + 3)[:, None]
+        u1, u2 = _accel.su2_product(hx, hy, rows, dt)
+        assert u1.shape == u2.shape == (rows.shape[0],)
+        for i in (0, chunk - 1, chunk, chunk + 2):
+            b1, b2 = _accel.su2_product(hx, hy, rows[i], dt)
+            assert abs(u1[i] - b1) < 1e-13
+            assert abs(u2[i] - b2) < 1e-13
 
     def test_trajectory_paths_agree(self, step_fields):
         # 32761 nodes give 32760 steps, not a perfect square, so the last
@@ -178,14 +194,13 @@ class TestPathEquality:
             assert np.max(np.abs(np.array(c) - np.array(b))) < 1e-12
 
     def test_trajectory_final_matches_product_limit(self, step_fields):
-        # node-sampled trajectory and midpoint product converge to the same
-        # evolution as the substep grid refines
+        # both kernels take the same Magnus4 steps on the same nodes, so the
+        # trajectory's last node is the product
         hx, hy, hz, dt = step_fields
         u1_t, u2_t = _accel.su2_trajectory(hx, hy, hz, dt)
-        mid = 0.5 * (np.stack([hx, hy, hz], 1)[:-1] + np.stack([hx, hy, hz], 1)[1:])
-        u1_p, u2_p = _accel.su2_product(mid[:, 0], mid[:, 1], mid[:, 2], dt)
-        assert abs(u1_t[-1] - u1_p) < 1e-5
-        assert abs(u2_t[-1] - u2_p) < 1e-5
+        u1_p, u2_p = _accel.su2_product(hx, hy, hz, dt)
+        assert abs(u1_t[-1] - u1_p) < 1e-12
+        assert abs(u2_t[-1] - u2_p) < 1e-12
 
     @pytest.mark.parametrize("name", list(TRANSPORT_CURVES))
     def test_transport_paths_agree(self, name, tmp_path):
@@ -208,8 +223,8 @@ def test_env_flag_forces_numpy_path():
         "import os; os.environ['CURVEPULSE_NO_NUMBA']='1';"
         "from curvepulse import _accel; assert not _accel.USE_NUMBA;"
         "import numpy as np;"
-        "u1,u2=_accel.su2_product(np.ones(10),np.zeros(10),np.zeros(10),0.01);"
-        "print('%.12f' % abs(u1))"
+        "r2=_accel.magnus_nested_r2(np.ones(10),np.linspace(0,1,10),np.zeros(10),0.01);"
+        "print('%.12f' % abs(r2[2]))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True

@@ -190,6 +190,8 @@ class TestSweep:
         assert rc == 0
         fit = json.loads((out / "fit.json").read_text())
         assert abs(fit["slope"] - 4.0) < 0.3
+        assert fit["converged"] is True
+        assert fit["last_delta"] < 1e-8
         base = json.loads((out / "square_fit.json").read_text())
         assert abs(base["slope"] - 2.0) < 0.2
         data = np.loadtxt(out / "sweep.csv", delimiter=",", skiprows=1)
@@ -238,6 +240,22 @@ class TestSweep:
             ]
         )
         assert rc == 3
+
+
+    def test_unconverged_sweep_warns_and_certify_exits_3(self, tmp_path, capsys):
+        # a coarse drive: its sweep clears the noise floor, but propagation
+        # still moves between refinement 1 and 2
+        t = np.linspace(0.0, 1.0, 16)
+        coarse = cp.PulseWaveform(t, np.full(16, 40.0), np.linspace(0, 6 * np.pi, 16))
+        cp.save_pulse_csv(coarse, tmp_path / "coarse.csv")
+        argv = ["sweep", "--pulse-file", str(tmp_path / "coarse.csv"), "--refinement", "1"]
+        assert main(argv + ["--out", str(tmp_path / "warn")]) == 0
+        assert "not converged at refinement 1" in capsys.readouterr().err
+        fit = json.loads((tmp_path / "warn" / "fit.json").read_text())
+        assert fit["converged"] is False
+        assert fit["last_delta"] > 1e-8
+        assert main(argv + ["--certify", "--out", str(tmp_path / "strict")]) == 3
+        assert "not converged at refinement 1" in capsys.readouterr().err
 
 
 class TestDeterminism:

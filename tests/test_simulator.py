@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -27,7 +29,9 @@ class TestPropagate:
         assert cp.gate_distance(u, want) < 1e-12
 
     def test_matches_dense_expm_oracle(self):
-        # independent oracle: scipy expm over very fine midpoint steps
+        # independent oracle: scipy expm over very fine midpoint steps.  The
+        # midpoint product is second order with an error series in even
+        # powers of the step, so (4 U_512 - U_256) / 3 is fourth order.
         rng = np.random.default_rng(12)
         n = 33
         t = np.linspace(0.0, 1.0, n)
@@ -37,18 +41,29 @@ class TestPropagate:
         pulse = cp.PulseWaveform(t, omega, phi)
         delta = 0.05
 
-        fine = 512
-        u_ref = np.eye(2, dtype=complex)
-        wx, wy = pulse.omega_x, pulse.omega_y
-        for k in range(n - 1):
-            for j in range(fine):
-                frac = (j + 0.5) / fine
-                hx = 0.5 * (wx[k] + frac * (wx[k + 1] - wx[k]))
-                hy = 0.5 * (wy[k] + frac * (wy[k + 1] - wy[k]))
-                h = pauli_compose([hx, hy, delta])
-                u_ref = expm(-1j * (t[1] - t[0]) / fine * h) @ u_ref
+        def midpoint_product(fine):
+            u_ref = np.eye(2, dtype=complex)
+            wx, wy = pulse.omega_x, pulse.omega_y
+            for k in range(n - 1):
+                for j in range(fine):
+                    frac = (j + 0.5) / fine
+                    hx = 0.5 * (wx[k] + frac * (wx[k + 1] - wx[k]))
+                    hy = 0.5 * (wy[k] + frac * (wy[k + 1] - wy[k]))
+                    h = pauli_compose([hx, hy, delta])
+                    u_ref = expm(-1j * (t[1] - t[0]) / fine * h) @ u_ref
+            return u_ref
+
+        u_ref = (4.0 * midpoint_product(512) - midpoint_product(256)) / 3.0
         u = cp.propagate(pulse, delta, refinement=512)
         assert cp.gate_distance(u, u_ref) < 1e-10
+
+    def test_auto_converges_on_builtins(self, builtin_pulses):
+        # the default settings certify every built-in at a few substeps
+        for name, pulse in builtin_pulses.items():
+            for db in (0.0, cp.default_noise_grid(pulse.duration).max()):
+                _, cert = cp.propagate(pulse, db, certify=True)
+                assert cert.converged, (name, db, cert)
+                assert cert.refinement <= 8, (name, db, cert)
 
     def test_certificate(self):
         pulse = square_x_pulse(n_samples=64)
@@ -100,6 +115,44 @@ class TestSweep:
         sweep = cp.infidelity_sweep(square_x_pulse(n_samples=256), check_even=True)
         assert sweep.asymmetry is not None
         assert sweep.asymmetry < 1e-6
+
+    @pytest.mark.parametrize("name", ["clifford_fig1", "const_torsion_gamma"])
+    def test_batched_sweep_matches_per_point(self, builtin_pulses, name):
+        # one batched product per refinement gives the same infidelities,
+        # mirror points and self-target as one propagate per point
+        pulse = builtin_pulses[name]
+        sweep = cp.infidelity_sweep(pulse, check_even=True)
+        assert sweep.converged
+        assert sweep.last_delta < 1e-8
+        r = sweep.refinement
+        target = cp.propagate(pulse, 0.0, refinement=r)
+
+        def per_point(db):
+            u = cp.propagate(pulse, db, refinement=r)
+            return cp.average_gate_infidelity(u, target)
+
+        for db, infid in zip(sweep.delta_beta, sweep.infidelity):
+            assert abs(infid - per_point(db)) < 1e-13
+        top = np.argsort(sweep.delta_beta)[-3:]
+        scale = sweep.infidelity[top].max()
+        asym = max(abs(per_point(-sweep.delta_beta[i]) - sweep.infidelity[i]) for i in top)
+        assert abs(sweep.asymmetry - asym / scale) * scale < 1e-13
+
+    def test_sweep_memory_flat_in_grid_size(self):
+        # the batch is reduced in fixed row chunks, so the traced peak does
+        # not grow with the number of grid points
+        pulse = cp.synthetic_smooth_pulse(0, n_samples=16384)
+        peaks = []
+        for n_points in (12, 200):
+            grid = cp.default_noise_grid(pulse.duration, n_points=n_points)
+            tracemalloc.start()
+            try:
+                cp.infidelity_sweep(pulse, delta_beta=grid)
+                peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
+        assert max(peaks) < 48.0, peaks
 
     def test_grid_validation(self):
         pulse = square_x_pulse()

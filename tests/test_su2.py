@@ -189,7 +189,7 @@ class TestUnitary2:
             Unitary2.from_matrix(np.array([[1.0, 0.2], [0.0, 1.0]]))
 
     def test_long_product_stays_unitary(self):
-        # one million exact substeps with periodic renormalization
+        # one million Magnus steps in one pairwise product
         rng = np.random.default_rng(9)
         n = 1_000_000
         hx = rng.normal(scale=1.0, size=n)
