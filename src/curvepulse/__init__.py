@@ -13,6 +13,7 @@ from .analysis import (
     RobustnessReport,
     curve_from_pulse,
     import_external_pulse,
+    reconstruct_from_frenet,
     robustness_report,
     synthetic_smooth_pulse,
 )
@@ -26,7 +27,6 @@ from .curves import (
     frenet_data,
     load_curve,
     random_fourier_loop,
-    reconstruct_from_frenet,
     reparameterize_by_arclength,
     save_curve_csv,
     save_curve_json,

@@ -99,14 +99,6 @@ def cumtrapz(y, dx):
     return out
 
 
-def trapz_end_corrected(y, dx):
-    """Trapezoid with the Euler-Maclaurin end correction (fourth order)."""
-    y = np.asarray(y, dtype=float)
-    base = np.trapezoid(y, dx=dx, axis=0)
-    yd = fd1(y, dx)
-    return base - dx * dx / 12.0 * (yd[-1] - yd[0])
-
-
 def cumtrapz_end_corrected(y, dx):
     """Cumulative trapezoid with the per-prefix Euler-Maclaurin correction."""
     y = np.asarray(y, dtype=float)

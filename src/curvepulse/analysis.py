@@ -3,7 +3,8 @@
 Any drive waveform defines a unit-speed curve through the running Pauli
 vector of its noise axis in the interaction frame.  Closure of that curve
 certifies first-order noise cancellation; vanishing projected areas certify
-second order.  This is how externally optimized pulses are audited.
+second order.  This is how externally optimized pulses are audited, and
+how frame data rebuild their curve: through the pulse they define.
 """
 
 import hashlib
@@ -17,7 +18,13 @@ from ._numerics import cumtrapz_end_corrected
 from .curves import SpaceCurve, area_diagnostics
 from .errors import ConvergenceError, InputError
 from .simulator import interaction_tangent, magnus_errors, u0_trajectory
-from .synthesis import PulseWaveform, read_pulse_file
+from .synthesis import (
+    PulseWaveform,
+    canonical_frame,
+    pulses_from_curve,
+    read_pulse_file,
+    start_frame,
+)
 
 ANALYSIS_SUBSTEP_CAP = 2 ** 15
 _UNIT_SPEED_TOL = 1e-6
@@ -115,6 +122,26 @@ def curve_from_pulse(pulse, refinement=None, max_substeps=ANALYSIS_SUBSTEP_CAP):
     return ReconstructionResult(
         curve, theta[::step], phi_angle[::step], speed_err, refinement
     )
+
+
+def reconstruct_from_frenet(frenet, r0=None, frame0=None):
+    """Rebuild a curve from its frame data through the pulse it defines.
+
+    Curvature and torsion are the envelope and phase velocity of a pulse,
+    and the curve is that pulse's interaction-frame trajectory, so the
+    rebuild is curve_from_pulse(pulses_from_curve(frenet)): the same
+    Magnus4 trajectory as reverse analysis.  That curve starts at the
+    origin in the canonical pose (tangent +z, normal +y) and is moved
+    rigidly onto frame0, whose rows are the start tangent, normal and
+    binormal (default: the first tangent and first valid normal), and onto
+    r0 (default: the origin).  Returns positions on the frame-data grid.
+    """
+    points = curve_from_pulse(pulses_from_curve(frenet)).curve.points
+    frame = start_frame(frenet) if frame0 is None else np.asarray(frame0, dtype=float).T
+    points = points @ (frame @ canonical_frame(0.0).T).T
+    if r0 is not None:
+        points += np.asarray(r0, dtype=float)
+    return points
 
 
 def robustness_report(pulse, closure_rtol=1e-3, area_rtol=1e-3, refinement=None):

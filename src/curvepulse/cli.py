@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._files import overwrite
+from ._files import overwrite, write_csv
 from .analysis import curve_from_pulse, import_external_pulse, robustness_report
 from .curves import (
     BUILTIN_CURVES,
@@ -117,15 +117,7 @@ def cmd_synth(args):
 
     save_pulse_csv(pulse, outdir / "pulse.csv")
     save_pulse_json(pulse, outdir / "pulse.json")
-    with overwrite(outdir / "frenet.csv") as fh:
-        np.savetxt(
-            fh,
-            np.column_stack([frenet.t, frenet.curvature, frenet.torsion]),
-            fmt="%.17g",
-            delimiter=",",
-            header="t,kappa,tau",
-            comments="",
-        )
+    write_csv(outdir / "frenet.csv", "t,kappa,tau", [frenet.t, frenet.curvature, frenet.torsion])
     m = gate.unitary.matrix
     _write_json(
         outdir / "gate.json",
@@ -166,15 +158,7 @@ def cmd_analyze(args):
 
     _write_json(outdir / "report.json", report.to_dict())
     save_curve_csv(report.reconstructed_curve, outdir / "curve.csv")
-    with overwrite(outdir / "theta.csv") as fh:
-        np.savetxt(
-            fh,
-            np.column_stack([report.reconstructed_curve.t, report.theta_track]),
-            fmt="%.17g",
-            delimiter=",",
-            header="t,theta",
-            comments="",
-        )
+    write_csv(outdir / "theta.csv", "t,theta", [report.reconstructed_curve.t, report.theta_track])
     config = {
         "pulse_file": str(args.pulse_file),
         "refinement": args.refinement,
@@ -230,15 +214,8 @@ def _parse_grid(text, duration):
 
 
 def _write_sweep(outdir, prefix, sweep, target_info):
-    with overwrite(outdir / f"{prefix}sweep.csv") as fh:
-        np.savetxt(
-            fh,
-            np.column_stack([sweep.delta_beta, sweep.infidelity]),
-            fmt="%.17g",
-            delimiter=",",
-            header="delta_beta,infidelity",
-            comments="",
-        )
+    columns = [sweep.delta_beta, sweep.infidelity]
+    write_csv(outdir / f"{prefix}sweep.csv", "delta_beta,infidelity", columns)
     _write_json(
         outdir / f"{prefix}fit.json",
         {

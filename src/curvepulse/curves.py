@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
-from ._files import overwrite
+from ._files import overwrite, write_csv
 from ._numerics import cumulative_cross_integral, fd1, fd2, fd3
 from .errors import InputError
 
@@ -445,76 +445,12 @@ def random_fourier_loop(seed, n_modes=4, perturbation=0.3, n_samples=DEFAULT_SAM
     )
 
 
-def reconstruct_from_frenet(frenet, r0=None, frame0=None):
-    """Integrate the moving-frame system from (curvature, torsion) by RK4.
-
-    Returns positions on the same grid; used to certify that the frame data
-    actually regenerates the curve it came from.
-    """
-    t = frenet.t
-    dt = frenet.dt
-    kappa = frenet.curvature
-    tau = frenet.torsion
-    n = len(t)
-
-    if r0 is None:
-        r0 = np.zeros(3)
-    if frame0 is None:
-        frame0 = np.stack([frenet.tangent[0], frenet.normal[0], frenet.binormal[0]])
-
-    def deriv(state, k, w):
-        r, tg, nm, bn = state
-        return (
-            tg,
-            k * nm,
-            -k * tg + w * bn,
-            -w * nm,
-        )
-
-    def interp(idx_half):
-        return (
-            np.interp(idx_half, np.arange(n), kappa),
-            np.interp(idx_half, np.arange(n), tau),
-        )
-
-    out = np.empty((n, 3))
-    state = (np.asarray(r0, dtype=float), frame0[0].copy(), frame0[1].copy(), frame0[2].copy())
-    out[0] = state[0]
-    for i in range(n - 1):
-        k1, w1 = kappa[i], tau[i]
-        k2, w2 = interp(i + 0.5)
-        k4, w4 = kappa[i + 1], tau[i + 1]
-        d1 = deriv(state, k1, w1)
-        s2 = tuple(s + 0.5 * dt * d for s, d in zip(state, d1))
-        d2 = deriv(s2, k2, w2)
-        s3 = tuple(s + 0.5 * dt * d for s, d in zip(state, d2))
-        d3 = deriv(s3, k2, w2)
-        s4 = tuple(s + dt * d for s, d in zip(state, d3))
-        d4 = deriv(s4, k4, w4)
-        state = tuple(
-            s + dt / 6.0 * (a + 2 * b + 2 * c + d)
-            for s, a, b, c, d in zip(state, d1, d2, d3, d4)
-        )
-        if i % 64 == 63:
-            r, tg, nm, bn = state
-            tg = tg / np.linalg.norm(tg)
-            nm = nm - (nm @ tg) * tg
-            nm = nm / np.linalg.norm(nm)
-            bn = np.cross(tg, nm)
-            state = (r, tg, nm, bn)
-        out[i + 1] = state[0]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # curve file formats: CSV header t,x,y,z and a JSON twin
 
 
 def save_curve_csv(curve, path):
-    header = "t,x,y,z"
-    data = np.column_stack([curve.t, curve.points])
-    with overwrite(path) as fh:
-        np.savetxt(fh, data, fmt="%.17g", delimiter=",", header=header, comments="")
+    write_csv(path, "t,x,y,z", [curve.t, curve.points])
 
 
 def save_curve_json(curve, path):

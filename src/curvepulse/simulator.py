@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
-from ._numerics import cumtrapz_end_corrected, fd1, trapz_end_corrected
+from ._numerics import cumtrapz_end_corrected, fd1
 from .errors import ConvergenceError, InputError
-from .su2 import Unitary2, as_matrix
+from .su2 import Unitary2
 from .synthesis import PulseWaveform
 
 MAX_REFINEMENT = 64
@@ -88,13 +88,30 @@ def _evolve(pulse, delta_beta, refinement):
     return _accel.su2_product(hx, hy, hz, dt)
 
 
-def _largest_change(u, v):
-    # Largest phase-aligned distance between rows of SU(2) pairs.  Tr(u^dag v)
-    # is real for SU(2), so the aligning phase is +-1 and the distance is
-    # the smaller of |u - v| and |u + v| over the pair, free of cancellation.
+def _distance_sq(u, v):
+    # Squared phase-aligned distance of SU(2) pairs (u1, u2), row by row.
+    # Tr(u^dag v) is real for SU(2), so the aligning phase is +-1 and the
+    # distance is the smaller of |u - v| and |u + v|, free of cancellation.
     minus = np.abs(u[0] - v[0]) ** 2 + np.abs(u[1] - v[1]) ** 2
     plus = np.abs(u[0] + v[0]) ** 2 + np.abs(u[1] + v[1]) ** 2
-    return float(np.sqrt(np.max(np.minimum(minus, plus))))
+    return np.minimum(minus, plus)
+
+
+def _largest_change(u, v):
+    return float(np.sqrt(np.max(_distance_sq(u, v))))
+
+
+def _su2_pair(u):
+    # (u1, u2) of a unitary with its determinant phase removed; either root
+    # serves, since the distance above is even in the overall sign
+    w = u if isinstance(u, Unitary2) else Unitary2.from_matrix(u)
+    return w.u1, w.u2
+
+
+def _infidelity(d2):
+    # 1 - (|Tr|^2 + 2) / 6 with |Tr| = 2 - d2 for SU(2) pairs at squared
+    # phase-aligned distance d2
+    return d2 * (4.0 - d2) / 6.0
 
 
 def _at_and_doubled(pulse, delta_beta, refinement, tol):
@@ -160,11 +177,12 @@ def propagate(
 
 
 def average_gate_infidelity(actual, target):
-    """1 - F with F = (|Tr(target^dag actual)|^2 + 2) / 6 for unitaries."""
-    a = as_matrix(actual)
-    b = as_matrix(target)
-    overlap = abs(np.trace(b.conj().T @ a)) ** 2
-    return float(1.0 - (overlap + 2.0) / 6.0)
+    """1 - F with F = (|Tr(target^dag actual)|^2 + 2) / 6 for unitaries.
+
+    Evaluated as d^2 (4 - d^2) / 6 from the squared phase-aligned distance
+    d^2 of the two SU(2) pairs, so small infidelities carry no cancellation.
+    """
+    return float(_infidelity(_distance_sq(_su2_pair(actual), _su2_pair(target))))
 
 
 def default_noise_grid(duration, n_points=12, lo=1e-3, hi=10 ** (-1.5)):
@@ -214,15 +232,11 @@ def infidelity_sweep(
         (u1, u2), _, cert = _at_and_doubled(pulse, rows, int(refinement), _CONVERGENCE_TOL)
 
     if target is None:
-        target_m = Unitary2(u1[-1], u2[-1]).matrix
+        pair = (u1[-1], u2[-1])
     else:
-        target_m = as_matrix(getattr(target, "unitary", target))
-    infid = np.array(
-        [
-            average_gate_infidelity(Unitary2(a, b), target_m)
-            for a, b in zip(u1[: n + top.size], u2[: n + top.size])
-        ]
-    )
+        pair = _su2_pair(getattr(target, "unitary", target))
+    k = n + top.size
+    infid = _infidelity(_distance_sq((u1[:k], u2[:k]), pair))
     infid, mirror = infid[:n], infid[n:]
     used = infid > floor
     if int(used.sum()) < 3:
@@ -303,8 +317,8 @@ def magnus_errors(pulse, refinement=None, nested=False):
     u1, u2, dt = u0_trajectory(pulse, refinement)
     v = interaction_tangent(u1, u2)
 
-    a1 = trapz_end_corrected(v, dt)
     r_sim = cumtrapz_end_corrected(v, dt)
+    a1 = r_sim[-1].copy()
     # single-pass route on the corrected prefixes
     a2_single = np.trapezoid(np.cross(r_sim, v), dx=dt, axis=0)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _accel
-from ._files import overwrite
+from ._files import overwrite, write_csv
 from ._numerics import carried_unwrap, cumtrapz, fd1, fd2
 from .curves import frenet_data
 from .errors import InputError, NoSolutionError
@@ -139,20 +139,28 @@ def _first_valid_normal(frenet):
     return frenet.normal[i]
 
 
+def start_frame(frenet):
+    """Columns (t0, n0, t0 x n0): first tangent and first valid normal."""
+    t0 = frenet.tangent[0]
+    n0 = _first_valid_normal(frenet)
+    n0 = n0 - (n0 @ t0) * t0
+    n0 /= np.linalg.norm(n0)
+    return np.stack([t0, n0, np.cross(t0, n0)], axis=1)
+
+
+def canonical_frame(phi0):
+    """Columns of the start frame of every evolution: +z, its normal, binormal."""
+    e1 = np.array([-np.sin(phi0), np.cos(phi0), 0.0])
+    return np.stack([_Z, e1, np.cross(_Z, e1)], axis=1)
+
+
 def canonicalize_curve(curve, frenet, phi0):
     """Rigidly move a curve so tangent(0) = +z and normal(0) matches phi0.
 
     Returns (points, rotation); curvature/torsion are untouched by
     construction, so the synthesized pulse is identical.
     """
-    t0 = frenet.tangent[0]
-    n0 = _first_valid_normal(frenet)
-    n0 = n0 - (n0 @ t0) * t0
-    n0 /= np.linalg.norm(n0)
-    src = np.stack([t0, n0, np.cross(t0, n0)], axis=1)
-    e1 = np.array([-np.sin(phi0), np.cos(phi0), 0.0])
-    dst = np.stack([_Z, e1, np.cross(_Z, e1)], axis=1)
-    rot = dst @ src.T
+    rot = canonical_frame(phi0) @ start_frame(frenet).T
     pts = (curve.points - curve.points[0]) @ rot.T
     return pts, rot
 
@@ -168,10 +176,7 @@ def drive_phase_track(frenet, phi0_val):
     if frenet.points is None:
         raise InputError("frame data carries no source points")
     rddot = fd2(frenet.points, frenet.dt)
-    t0 = frenet.tangent[0]
-    m1 = _first_valid_normal(frenet)
-    m1 = m1 - (m1 @ t0) * t0
-    m1 /= np.linalg.norm(m1)
+    m1 = start_frame(frenet)[:, 1]
     a, b = _accel.transport_components(frenet.points, frenet.tangent, rddot, m1)
     mag = np.hypot(a, b)
     ok = mag > _POLE_TOL * max(float(mag.max()), 1e-300)
@@ -325,9 +330,7 @@ def gate_from_frame(curve, frenet=None, phi0=None):
         [rot @ frenet.tangent[-1], rot @ frenet.normal[-1], rot @ frenet.binormal[-1]],
         axis=1,
     )
-    e1 = np.array([-np.sin(phi_end), np.cos(phi_end), 0.0])
-    pre = np.stack([_Z, e1, np.cross(_Z, e1)], axis=1)
-    r_u = post @ pre.T
+    r_u = post @ canonical_frame(phi_end).T
     # project back to the nearest rotation before lifting
     uu, _, vv = np.linalg.svd(r_u)
     r_u = uu @ vv
@@ -456,10 +459,7 @@ def save_pulse_csv(pulse, path):
     if pulse.detuning is not None:
         cols.append(pulse.detuning)
         header += ",detuning"
-    with overwrite(path) as fh:
-        np.savetxt(
-            fh, np.column_stack(cols), fmt="%.17g", delimiter=",", header=header, comments=""
-        )
+    write_csv(path, header, cols)
 
 
 def _clean_metadata(metadata):

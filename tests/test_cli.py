@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import curvepulse as cp
+from curvepulse._files import write_csv
 from curvepulse.cli import main
 
 from conftest import stadium_rows
@@ -256,6 +257,27 @@ class TestSweep:
         assert fit["last_delta"] > 1e-8
         assert main(argv + ["--certify", "--out", str(tmp_path / "strict")]) == 3
         assert "not converged at refinement 1" in capsys.readouterr().err
+
+
+class TestCsvWriter:
+    def test_bytes_match_savetxt(self, tmp_path):
+        # signed zeros, subnormals and extreme exponents print as np.savetxt
+        # prints them
+        rng = np.random.default_rng(8)
+        cols = [np.linspace(0.0, 1.0, 4096), rng.normal(size=4096), rng.normal(size=(4096, 2))]
+        cols[1][:6] = [-0.0, 0.0, 1e-320, -4.9e-324, 1.5e300, -2.5e-300]
+        cols[2][:3, 1] = [1e-300, -1e300, -0.0]
+        write_csv(tmp_path / "new.csv", "t,a,b,c", cols)
+        with open(tmp_path / "ref.csv", "w", encoding="utf-8") as fh:
+            np.savetxt(
+                fh,
+                np.column_stack(cols),
+                fmt="%.17g",
+                delimiter=",",
+                header="t,a,b,c",
+                comments="",
+            )
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestDeterminism:

@@ -184,24 +184,33 @@ class TestFrenet:
         ok = ~f.flagged
         assert np.max(np.abs(np.sum(f.tangent[ok] * f.normal[ok], axis=1))) < 1e-8
 
-    def test_frenet_reconstruction(self):
-        # geometric core: integrating the frame system regenerates the curve.
-        # Curves with curvature zeros are excluded (the frame flips there and
-        # the (kappa >= 0, tau) pair is not integrable as a smooth system);
-        # the stiff loops need the finer grid to resolve their torsion swings.
-        for name, n in [
-            ("circle", 4096),
-            ("alpha_eq12", 8192),
-            ("const_torsion_gamma", 8192),
-        ]:
-            c = cp.builtin_curve(name, n_samples=n)
-            rebuilt = cp.reconstruct_from_frenet(cp.frenet_data(c), r0=c.points[0])
+    def test_frenet_reconstruction(self, builtin_curves, builtin_frenet):
+        # geometric core: the pulse defined by the frame data evolves back
+        # into the curve, curvature zeros (lemniscate, clifford_fig1) included
+        cases = [(builtin_curves[name], builtin_frenet[name]) for name in cp.BUILTIN_CURVES]
+        helix = helix_curve()
+        cases.append((helix, cp.frenet_data(helix)))
+        for c, f in cases:
+            rebuilt = cp.reconstruct_from_frenet(f, r0=c.points[0])
+            assert rebuilt.shape == c.points.shape
             rms = np.sqrt(np.mean(np.sum((rebuilt - c.points) ** 2, axis=1)))
-            assert rms < 1e-4 * c.total_length, name
-        c = helix_curve()
-        rebuilt = cp.reconstruct_from_frenet(cp.frenet_data(c), r0=c.points[0])
-        rms = np.sqrt(np.mean(np.sum((rebuilt - c.points) ** 2, axis=1)))
-        assert rms < 1e-4 * c.total_length
+            assert rms < 1e-4 * c.total_length, c.source_tag
+
+    def test_reconstruction_follows_start_pose(self, builtin_curves, builtin_frenet):
+        # a rigidly rotated and shifted curve comes back from its own frame
+        # data once r0 and frame0 name its start point and start frame; the
+        # same frame data started in the unmoved pose give the unmoved curve
+        rng = np.random.default_rng(5)
+        rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        rot *= np.sign(np.linalg.det(rot))
+        c = builtin_curves["clifford_fig1"]
+        moved = c.transformed(rot, [0.3, -1.2, 2.0])
+        f = cp.frenet_data(moved)
+        for target, g in ((moved, f), (c, builtin_frenet["clifford_fig1"])):
+            frame0 = np.stack([g.tangent[0], g.normal[0], g.binormal[0]])
+            rebuilt = cp.reconstruct_from_frenet(f, r0=target.points[0], frame0=frame0)
+            err = np.max(np.linalg.norm(rebuilt - target.points, axis=1))
+            assert err < 1e-5 * c.total_length
 
 
 class TestAreas:

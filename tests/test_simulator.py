@@ -106,6 +106,25 @@ class TestInfidelity:
             assert abs(val - val2) < 1e-14
 
 
+    def test_small_distance_without_cancellation(self):
+        # v = u exp(-i eps n.sigma) sits at phase-aligned distance
+        # d = 2 sin(eps / 2) from u; 1 - (|Tr|^2 + 2) / 6 rounds such a pair
+        # to a multiple of 1.1e-16, far from the true 6.7e-19
+        rng = np.random.default_rng(4)
+        from conftest import random_special_unitary
+
+        d = 1e-9
+        eps = 2.0 * np.arcsin(0.5 * d)
+        for _ in range(5):
+            u = random_special_unitary(rng)
+            n = rng.normal(size=3)
+            v = u.matrix @ cp.axis_angle_unitary(n, 2.0 * eps).matrix
+            expected = d * d * (4.0 - d * d) / 6.0
+            for pair in ((u, v), (u.matrix, np.exp(0.3j) * v)):
+                val = cp.average_gate_infidelity(*pair)
+                assert abs(val - expected) < 1e-6 * expected
+
+
 class TestSweep:
     def test_square_pulse_uncorrected_slope(self):
         sweep = cp.infidelity_sweep(square_x_pulse(n_samples=256))
