@@ -7,7 +7,6 @@ second order.  This is how externally optimized pulses are audited, and
 how frame data rebuild their curve: through the pulse they define.
 """
 
-import hashlib
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -182,18 +181,13 @@ def import_external_pulse(path, resample_to=None):
     Non-uniform grids are resampled linearly (the worst interpolation
     deviation is recorded); a nonzero detuning column is folded away by the
     transverse-frame transform so analysis always runs in the canonical
-    frame.  Provenance (file hash, import timestamp) lands in metadata; the
-    timestamp never enters serialized outputs.
+    frame.  Provenance (the hash of the bytes parsed, import timestamp) lands
+    in metadata; the timestamp never enters serialized outputs.
     """
     t, wx, wy, det, meta = read_pulse_file(path)
-
-    with open(path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
-    meta = dict(meta)
     meta.update(
         {
             "source_file": str(path),
-            "sha256": digest,
             "import_timestamp": datetime.now(timezone.utc).isoformat(),
         }
     )

@@ -4,6 +4,7 @@ with config and content hashes; identical config and inputs must produce
 byte-identical outputs."""
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -44,11 +45,12 @@ def _write_json(path, payload):
 
 
 def _write_manifest(outdir, command, config, inputs, outputs):
+    """inputs maps each input file's name to the sha256 of the bytes read."""
     manifest = {
         "version": __version__,
         "command": command,
         "config": config,
-        "inputs": {name: _sha256(p) for name, p in inputs.items()},
+        "inputs": inputs,
         "outputs": {name: _sha256(outdir / name) for name in sorted(outputs)},
     }
     _write_json(outdir / "manifest.json", manifest)
@@ -78,7 +80,7 @@ def _resolve_curve(args):
         if not path.exists():
             raise InputError(f"curve file not found: {path}")
         curve = load_curve(path, n_samples=args.samples)
-        inputs["curve_file"] = path
+        inputs["curve_file"] = _sha256(path)
     else:
         raise InputError("a curve source is required: --builtin NAME or --curve-file PATH")
     return curve, inputs
@@ -88,7 +90,8 @@ def _load_pulse(args):
     path = Path(args.pulse_file)
     if not path.exists():
         raise InputError(f"pulse file not found: {path}")
-    return import_external_pulse(path), {"pulse_file": path}
+    pulse = import_external_pulse(path)
+    return pulse, {"pulse_file": pulse.metadata["sha256"]}
 
 
 def _refinement_arg(value):
@@ -288,6 +291,7 @@ def cmd_sweep(args):
     return 0
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="curvepulse",

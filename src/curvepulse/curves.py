@@ -7,15 +7,12 @@ Derivatives come from five-point finite-difference stencils on the uniform
 grid; convergence is certified by sample-doubling tests rather than splines.
 """
 
-import csv
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
-from ._files import overwrite, write_csv
+from ._files import overwrite, read_table, write_csv
 from ._numerics import cumulative_cross_integral, fd1, fd2, fd3
 from .errors import InputError
 
@@ -74,6 +71,8 @@ class SpaceCurve:
         return SpaceCurve(self.t.copy(), pts, self.source_tag)
 
     def resampled(self, n_samples):
+        from scipy.interpolate import CubicSpline
+
         spline = CubicSpline(self.t, self.points, axis=0)
         return reparameterize_by_arclength(
             spline, (self.t[0], self.t[-1]), n_samples, source_tag=self.source_tag
@@ -137,6 +136,8 @@ def reparameterize_by_arclength(
     relative terms.  The output curve starts at the origin and has
     total_length equal to its final t value (the extrapolated length).
     """
+    from scipy.interpolate import PchipInterpolator
+
     lo, hi = float(lam_span[0]), float(lam_span[1])
     if not hi > lo:
         raise InputError("lam_span must be an increasing interval")
@@ -463,53 +464,19 @@ def save_curve_json(curve, path):
         fh.write("\n")
 
 
-def _parse_curve_rows(rows, where):
-    t = []
-    pts = []
-    for lineno, row in rows:
-        if len(row) != 4:
-            raise InputError(f"{where}: line {lineno}: expected 4 columns, got {len(row)}")
-        try:
-            vals = [float(v) for v in row]
-        except ValueError as exc:
-            raise InputError(f"{where}: line {lineno}: {exc}") from exc
-        if not all(map(math.isfinite, vals)):
-            raise InputError(f"{where}: line {lineno}: non-finite value")
-        if t and vals[0] <= t[-1]:
-            raise InputError(f"{where}: line {lineno}: t must be strictly increasing")
-        t.append(vals[0])
-        pts.append(vals[1:])
-    if len(t) < 8:
-        raise InputError(f"{where}: need at least 8 samples, got {len(t)}")
-    return np.asarray(t), np.asarray(pts)
+def _curve_json_rows(payload, where):
+    if not isinstance(payload, dict) or not isinstance(payload.get("samples"), list):
+        raise InputError(f"{where}: curve JSON must carry a 'samples' list")
+    return ("t", "x", "y", "z"), payload["samples"]
 
 
 def load_curve(path, n_samples=DEFAULT_SAMPLES):
     """Load a curve file (CSV or JSON) and reparameterize it by arc length."""
-    path = str(path)
-    if path.endswith(".json"):
-        with open(path, encoding="utf-8") as fh:
-            try:
-                payload = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}: invalid JSON: {exc}") from exc
-        if not isinstance(payload, dict) or "samples" not in payload:
-            raise InputError(f"{path}: curve JSON must carry a 'samples' list")
-        rows = [(i + 1, [str(v) for v in row]) for i, row in enumerate(payload["samples"])]
-        tag = payload.get("source_tag", "file")
-        t_in, pts = _parse_curve_rows(rows, path)
-    else:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise InputError(f"{path}: empty file") from None
-            if [h.strip() for h in header] != ["t", "x", "y", "z"]:
-                raise InputError(f"{path}: expected header t,x,y,z")
-            rows = [(i + 2, row) for i, row in enumerate(reader) if row]
-        tag = "file"
-        t_in, pts = _parse_curve_rows(rows, path)
+    from scipy.interpolate import CubicSpline
+
+    table = read_table(path, "t,x,y,z", 8, _curve_json_rows)
+    tag = "file" if table.payload is None else table.payload.get("source_tag", "file")
+    t_in, pts = table.data[:, 0], table.data[:, 1:]
     spline = CubicSpline(t_in, pts, axis=0)
     return reparameterize_by_arclength(
         spline, (t_in[0], t_in[-1]), n_samples, source_tag=tag

@@ -12,15 +12,13 @@ the curve rigidly into that pose, which is why rigid motions of the curve
 never change the result.
 """
 
-import csv
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _accel
-from ._files import overwrite, write_csv
+from ._files import overwrite, read_table, write_csv
 from ._numerics import carried_unwrap, cumtrapz, fd1, fd2
 from .curves import frenet_data
 from .errors import InputError, NoSolutionError
@@ -479,69 +477,36 @@ def save_pulse_json(pulse, path):
         fh.write("\n")
 
 
+def _pulse_json_rows(payload, where):
+    try:
+        cols = [payload["t"], payload["omega"], payload["phi"]]
+        header = ("t", "omega", "phi")
+        if payload.get("detuning") is not None:
+            cols.append(payload["detuning"])
+            header += ("detuning",)
+        # columns of unequal length give short rows, which the reader rejects
+        n = max(map(len, cols))
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"{where}: malformed pulse JSON: {exc}") from exc
+    return header, [[c[i] for c in cols if i < len(c)] for i in range(n)]
+
+
 def read_pulse_file(path):
     """Parse the shared pulse format; returns arrays without resampling.
 
-    CSV errors carry line numbers; t must be strictly increasing and all
-    values finite.
+    Errors carry line numbers (sample numbers for JSON); t must be strictly
+    increasing and all values finite.  meta["sha256"] is the digest of the
+    bytes that were parsed.
     """
-    path = str(path)
-    if path.endswith(".json"):
-        with open(path, encoding="utf-8") as fh:
-            try:
-                payload = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}: invalid JSON: {exc}") from exc
-        try:
-            t = np.asarray(payload["t"], dtype=float)
-            omega = np.asarray(payload["omega"], dtype=float)
-            phi = np.asarray(payload["phi"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"{path}: malformed pulse JSON: {exc}") from exc
-        det = payload.get("detuning")
-        det = None if det is None else np.asarray(det, dtype=float)
-        meta = dict(payload.get("metadata", {}))
-        wx = omega * np.cos(phi)
-        wy = omega * np.sin(phi)
-    else:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = [h.strip() for h in next(reader)]
-            except StopIteration:
-                raise InputError(f"{path}: empty file") from None
-            if header not in (
-                ["t", "omega_x", "omega_y"],
-                ["t", "omega_x", "omega_y", "detuning"],
-            ):
-                raise InputError(f"{path}: expected header t,omega_x,omega_y[,detuning]")
-            ncol = len(header)
-            t_list, wx_list, wy_list, det_list = [], [], [], []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != ncol:
-                    raise InputError(
-                        f"{path}: line {lineno}: expected {ncol} columns, got {len(row)}"
-                    )
-                try:
-                    vals = [float(v) for v in row]
-                except ValueError as exc:
-                    raise InputError(f"{path}: line {lineno}: {exc}") from exc
-                if not all(map(math.isfinite, vals)):
-                    raise InputError(f"{path}: line {lineno}: non-finite value")
-                if t_list and vals[0] <= t_list[-1]:
-                    raise InputError(f"{path}: line {lineno}: t must be strictly increasing")
-                t_list.append(vals[0])
-                wx_list.append(vals[1])
-                wy_list.append(vals[2])
-                if ncol == 4:
-                    det_list.append(vals[3])
-        t = np.asarray(t_list)
-        wx = np.asarray(wx_list)
-        wy = np.asarray(wy_list)
-        det = np.asarray(det_list) if det_list else None
+    table = read_table(path, "t,omega_x,omega_y[,detuning]", 2, _pulse_json_rows)
+    t, a, b = table.data.T[:3]
+    det = table.data[:, 3] if table.data.shape[1] == 4 else None
+    if table.payload is None:
+        wx, wy = a, b
         meta = {}
-    if t.shape[0] < 2:
-        raise InputError(f"{path}: need at least 2 samples")
+    else:
+        wx = a * np.cos(b)
+        wy = a * np.sin(b)
+        meta = dict(table.payload.get("metadata", {}))
+    meta["sha256"] = table.sha256
     return t, wx, wy, det, meta

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,13 @@ import curvepulse as cp
 from curvepulse._numerics import cumtrapz, fd1
 
 BUILTINS = list(cp.BUILTIN_CURVES)
+
+
+def python_env():
+    """Environment for a child interpreter that imports this curvepulse."""
+    src = str(Path(cp.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ from curvepulse import _accel
 from curvepulse._numerics import fd2
 from curvepulse.synthesis import _first_valid_normal
 
-from conftest import stadium_rows
+from conftest import python_env, stadium_rows
 
 
 def _transport_reference(points, tangent, rddot, m1):
@@ -227,6 +227,7 @@ def test_env_flag_forces_numpy_path():
         "print('%.12f' % abs(r2[2]))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=python_env(),
     )
     assert out.stdout.strip()

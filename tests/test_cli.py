@@ -1,5 +1,7 @@
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +9,9 @@ import pytest
 
 import curvepulse as cp
 from curvepulse._files import write_csv
-from curvepulse.cli import main
+from curvepulse.cli import build_parser, main
 
-from conftest import stadium_rows
+from conftest import python_env, stadium_rows
 
 
 def tree_hashes(outdir):
@@ -132,6 +134,13 @@ class TestSynth:
         rc = main(["synth", "--curve-file", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    def test_scalar_curve_json_samples_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "scalar.json"
+        path.write_text(json.dumps({"samples": list(range(16))}))
+        rc = main(["synth", "--curve-file", str(path), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "line 1: expected 4 columns, got 1" in capsys.readouterr().err
+
 
 class TestAnalyze:
     def test_classification_outputs(self, tmp_path):
@@ -170,6 +179,38 @@ class TestAnalyze:
     def test_missing_pulse_file_exits_2(self, tmp_path):
         rc = main(["analyze", "--pulse-file", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "x")])
         assert rc == 2
+
+    def test_unequal_pulse_json_columns_exit_2(self, tmp_path, capsys):
+        t = np.linspace(0.0, 1.0, 64)
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps({"t": t.tolist(), "omega": [1.0] * 64, "phi": [0.0] * 60}))
+        rc = main(["analyze", "--pulse-file", str(path), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "line 61: expected 3 columns, got 2" in capsys.readouterr().err
+
+    def test_manifest_hashes_the_pulse_bytes(self, tmp_path):
+        pulse_file = tmp_path / "sq.csv"
+        cp.save_pulse_csv(cp.square_pulse(1.0, n_samples=256), pulse_file)
+        out = tmp_path / "an"
+        assert main(["analyze", "--pulse-file", str(pulse_file), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["inputs"] == {
+            "pulse_file": hashlib.sha256(pulse_file.read_bytes()).hexdigest()
+        }
+
+    def test_analyze_never_loads_scipy(self, tmp_path):
+        # splines are only built for curves; the pulse side must not pay for
+        # importing scipy
+        pulse_file = tmp_path / "sq.csv"
+        cp.save_pulse_csv(cp.square_pulse(1.0, n_samples=256), pulse_file)
+        code = (
+            "import sys; import curvepulse.cli as cli;"
+            "assert 'scipy' not in sys.modules, 'import';"
+            f"assert cli.main(['analyze', '--pulse-file', {str(pulse_file)!r},"
+            f" '--out', {str(tmp_path / 'an')!r}]) == 0;"
+            "assert 'scipy' not in sys.modules, 'analyze'"
+        )
+        subprocess.run([sys.executable, "-c", code], env=python_env(), check=True)
 
 
 class TestSweep:
@@ -257,6 +298,28 @@ class TestSweep:
         assert fit["last_delta"] > 1e-8
         assert main(argv + ["--certify", "--out", str(tmp_path / "strict")]) == 3
         assert "not converged at refinement 1" in capsys.readouterr().err
+
+
+class TestParser:
+    def test_built_once_and_stateless(self, tmp_path, synth_out):
+        assert build_parser() is build_parser()
+        for radius in ("2.0", "0.5"):
+            out = tmp_path / f"circle-{radius}"
+            argv = ["synth", "--builtin", "circle", "--param", f"radius={radius}",
+                    "--samples", "256", "--out", str(out)]
+            assert main(argv) == 0
+            config = json.loads((out / "manifest.json").read_text())["config"]
+            assert config["param"] == [f"radius={radius}"]
+        pulse_file = str(synth_out / "pulse.csv")
+        grid = ["--grid", "1e-3:4e-2:5"]
+        target = ["--target", "axis=0,0,1", "angle=1.0"]
+        assert main(["sweep", "--pulse-file", pulse_file, *target, *grid,
+                     "--out", str(tmp_path / "axis")]) == 0
+        assert main(["sweep", "--pulse-file", pulse_file, *grid, "--out", str(tmp_path / "self")]) == 0
+        fit = json.loads((tmp_path / "self" / "fit.json").read_text())
+        assert fit["target"] == {"kind": "self"}
+        config = json.loads((tmp_path / "self" / "manifest.json").read_text())["config"]
+        assert config["target"] is None
 
 
 class TestCsvWriter:
