@@ -175,3 +175,67 @@ def cumulative_cross_integral(f, fprime, lam):
     out = np.zeros((len(lam), 3))
     out[1:] = np.cumsum(seg, axis=0)
     return out
+
+
+def _pchip_edge_slope(h0, h1, m0, m1):
+    # one-sided three-point end slope, limited to keep the end monotone
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_slopes(x, y, k):
+    """Fritsch-Carlson slopes at the knots k of the 1-D data (x, y).
+
+    Interior knots take the weighted harmonic mean of the two adjacent
+    secants, or zero where those differ in sign or either is zero; the two
+    end knots take the limited one-sided estimate.
+    """
+    n = x.shape[0]
+    km = np.clip(k, 1, n - 2)
+    h0 = x[km] - x[km - 1]
+    h1 = x[km + 1] - x[km]
+    m0 = (y[km] - y[km - 1]) / h0
+    m1 = (y[km + 1] - y[km]) / h1
+    flat = (np.sign(m1) != np.sign(m0)) | (m1 == 0) | (m0 == 0)
+    w1 = 2 * h1 + h0
+    w2 = h1 + 2 * h0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.where(flat, 0.0, 1.0 / ((w1 / m0 + w2 / m1) / (w1 + w2)))
+    for knot, near, far in ((0, 0, 1), (n - 1, n - 2, n - 3)):
+        h0, h1 = x[near + 1] - x[near], x[far + 1] - x[far]
+        m0 = (y[near + 1] - y[near]) / h0
+        m1 = (y[far + 1] - y[far]) / h1
+        d[k == knot] = _pchip_edge_slope(h0, h1, m0, m1)
+    return d
+
+
+def pchip(x, y, xq):
+    """Monotone cubic (PCHIP) interpolant of (x, y) evaluated at sorted xq.
+
+    x must be strictly increasing with at least three knots, and xq sorted
+    ascending.  Slopes are formed only at the knots bounding the intervals
+    that some xq falls in, so the cost is O(len(xq) log len(x)) however
+    dense the data.  Intervals are half-open [x_i, x_{i+1}) with the last
+    one closed, and points outside [x_0, x_-1] extend the end cubics.  The
+    formulas and their operation order are those of
+    scipy.interpolate.PchipInterpolator (slopes) and PPoly (Horner-free
+    power-basis evaluation), so the values agree with it bit for bit.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    xq = np.asarray(xq, dtype=float)
+    i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.shape[0] - 2)
+    d = _pchip_slopes(x, y, np.concatenate([i, i + 1]))
+    d0, d1 = d[: i.size], d[i.size :]
+    h = x[i + 1] - x[i]
+    slope = (y[i + 1] - y[i]) / h
+    t = (d0 + d1 - 2 * slope) / h
+    c3 = t / h
+    c2 = (slope - d0) / h - t
+    s = xq - x[i]
+    s2 = s * s
+    return ((y[i] + d0 * s) + c2 * s2) + c3 * (s2 * s)

@@ -17,9 +17,9 @@ from ._files import overwrite, write_csv
 from .analysis import curve_from_pulse, import_external_pulse, robustness_report
 from .curves import (
     BUILTIN_CURVES,
+    _load_curve_hashed,
     builtin_curve,
     frenet_data,
-    load_curve,
     save_curve_csv,
 )
 from .errors import ConvergenceError, CurvePulseError, InputError
@@ -79,8 +79,7 @@ def _resolve_curve(args):
         path = Path(args.curve_file)
         if not path.exists():
             raise InputError(f"curve file not found: {path}")
-        curve = load_curve(path, n_samples=args.samples)
-        inputs["curve_file"] = _sha256(path)
+        curve, inputs["curve_file"] = _load_curve_hashed(path, args.samples)
     else:
         raise InputError("a curve source is required: --builtin NAME or --curve-file PATH")
     return curve, inputs

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._files import overwrite, read_table, write_csv
-from ._numerics import cumulative_cross_integral, fd1, fd2, fd3
+from ._numerics import cumulative_cross_integral, fd1, fd2, fd3, pchip
 from .errors import InputError
 
 DEFAULT_SAMPLES = 4096
@@ -70,14 +70,6 @@ class SpaceCurve:
             pts = pts + np.asarray(translation, dtype=float)
         return SpaceCurve(self.t.copy(), pts, self.source_tag)
 
-    def resampled(self, n_samples):
-        from scipy.interpolate import CubicSpline
-
-        spline = CubicSpline(self.t, self.points, axis=0)
-        return reparameterize_by_arclength(
-            spline, (self.t[0], self.t[-1]), n_samples, source_tag=self.source_tag
-        )
-
 
 @dataclass(frozen=True)
 class FrenetData:
@@ -121,6 +113,16 @@ class AreaDiagnostics:
     projected_areas: np.ndarray
 
 
+def _sampled(sampler, lam):
+    """sampler(lam) as a checked (len(lam), 3) float array."""
+    pts = np.asarray(sampler(lam), dtype=float)
+    if pts.shape != (lam.shape[0], 3):
+        raise InputError("sampler must map a lambda array to (n, 3) points")
+    if not np.all(np.isfinite(pts)):
+        raise InputError("sampler returned non-finite points")
+    return pts
+
+
 def reparameterize_by_arclength(
     sampler,
     lam_span=(0.0, 2.0 * np.pi),
@@ -130,14 +132,17 @@ def reparameterize_by_arclength(
 ):
     """Resample a parametric curve onto a uniform unit-speed grid.
 
-    The cumulative length is built by fine-grid chord summation, with the
-    dense grid doubled until the chord total, or its Richardson
+    The cumulative length is built by chord summation on a dense uniform
+    lambda grid, doubled until the chord total, or its Richardson
     extrapolation from the last two grids, changes by less than rel_tol in
-    relative terms.  The output curve starts at the origin and has
-    total_length equal to its final t value (the extrapolated length).
+    relative terms.  The grids are nested (every other point of a doubled
+    grid is, bit for bit, a point of the grid before it), so each doubling
+    calls the sampler only on the new midpoints.  lambda(s) is then
+    inverted by a monotone cubic (PCHIP) through the dense (s, lambda)
+    pairs, whose slopes are formed only at the knots next to the output
+    samples.  The output curve starts at the origin and has total_length
+    equal to its final t value (the extrapolated length).
     """
-    from scipy.interpolate import PchipInterpolator
-
     lo, hi = float(lam_span[0]), float(lam_span[1])
     if not hi > lo:
         raise InputError("lam_span must be an increasing interval")
@@ -145,16 +150,15 @@ def reparameterize_by_arclength(
         raise InputError(f"n_samples must be at least {_MIN_SAMPLES}")
 
     m = max(8 * n_samples, _DENSE_FLOOR)
+    lam = np.linspace(lo, hi, m + 1)
+    pts = _sampled(sampler, lam)
     prev_len = None
     prev_refined = None
     while True:
-        lam = np.linspace(lo, hi, m + 1)
-        pts = np.asarray(sampler(lam), dtype=float)
-        if pts.shape != (m + 1, 3):
-            raise InputError("sampler must map a lambda array to (n, 3) points")
-        if not np.all(np.isfinite(pts)):
-            raise InputError("sampler returned non-finite points")
-        seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+        d = np.diff(pts, axis=0)
+        d *= d
+        # the sum order of np.linalg.norm(axis=1), without its temporaries
+        seg = np.sqrt((d[:, 0] + d[:, 1]) + d[:, 2])
         total = float(seg.sum())
         if total == 0.0:
             raise InputError("zero-length curve")
@@ -169,13 +173,20 @@ def reparameterize_by_arclength(
             prev_refined = refined
         prev_len = total
         m *= 2
+        lam = np.linspace(lo, hi, m + 1)
+        fine = np.empty((m + 1, 3))
+        fine[0::2] = pts
+        fine[1::2] = _sampled(sampler, np.ascontiguousarray(lam[1::2]))
+        pts = fine
 
+    if not np.all(seg > 0.0):
+        raise InputError("sampler repeats a point: arc length is not invertible")
     s_dense = np.concatenate([[0.0], np.cumsum(seg)])
     s_dense *= refined / total
     t = np.linspace(0.0, refined, n_samples)
     # monotone-cubic inversion: a piecewise-linear inverse would leave
     # O(h_dense^2) kinks that finite differences amplify into fake curvature
-    lam_t = PchipInterpolator(s_dense, lam)(np.clip(t, 0.0, s_dense[-1]))
+    lam_t = pchip(s_dense, lam, np.clip(t, 0.0, s_dense[-1]))
     out = np.asarray(sampler(lam_t), dtype=float)
     out = out - out[0]
     return SpaceCurve(t, out, source_tag)
@@ -460,7 +471,8 @@ def save_curve_json(curve, path):
         "source_tag": curve.source_tag,
     }
     with overwrite(path) as fh:
-        json.dump(payload, fh, sort_keys=True)
+        # json.dumps encodes in C; json.dump always takes the Python encoder
+        fh.write(json.dumps(payload, sort_keys=True))
         fh.write("\n")
 
 
@@ -472,12 +484,18 @@ def _curve_json_rows(payload, where):
 
 def load_curve(path, n_samples=DEFAULT_SAMPLES):
     """Load a curve file (CSV or JSON) and reparameterize it by arc length."""
+    return _load_curve_hashed(path, n_samples)[0]
+
+
+def _load_curve_hashed(path, n_samples):
+    """load_curve's curve, with the sha256 of the file bytes it parsed."""
     from scipy.interpolate import CubicSpline
 
     table = read_table(path, "t,x,y,z", 8, _curve_json_rows)
     tag = "file" if table.payload is None else table.payload.get("source_tag", "file")
     t_in, pts = table.data[:, 0], table.data[:, 1:]
     spline = CubicSpline(t_in, pts, axis=0)
-    return reparameterize_by_arclength(
+    curve = reparameterize_by_arclength(
         spline, (t_in[0], t_in[-1]), n_samples, source_tag=tag
     )
+    return curve, table.sha256

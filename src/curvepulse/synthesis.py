@@ -473,7 +473,8 @@ def save_pulse_json(pulse, path):
         "metadata": _clean_metadata(pulse.metadata),
     }
     with overwrite(path) as fh:
-        json.dump(payload, fh, sort_keys=True)
+        # json.dumps encodes in C; json.dump always takes the Python encoder
+        fh.write(json.dumps(payload, sort_keys=True))
         fh.write("\n")
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import curvepulse as cp
+from curvepulse import cli
 from curvepulse._files import write_csv
 from curvepulse.cli import build_parser, main
 
@@ -140,6 +141,31 @@ class TestSynth:
         rc = main(["synth", "--curve-file", str(path), "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "line 1: expected 4 columns, got 1" in capsys.readouterr().err
+
+    def test_curve_file_read_and_hashed_once(self, tmp_path, monkeypatch):
+        curve_file = tmp_path / "loop.csv"
+        cp.save_curve_csv(cp.random_fourier_loop(2, n_samples=512), curve_file)
+        hashed = []
+        inner = cli._sha256
+        monkeypatch.setattr(cli, "_sha256", lambda path: hashed.append(path) or inner(path))
+        out = tmp_path / "out"
+        rc = main(["synth", "--curve-file", str(curve_file), "--samples", "1024", "--out", str(out)])
+        assert rc == 0
+        assert curve_file not in hashed and len(hashed) == 4  # the four outputs only
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["inputs"] == {
+            "curve_file": hashlib.sha256(curve_file.read_bytes()).hexdigest()
+        }
+
+    def test_builtin_synth_never_loads_scipy(self, tmp_path):
+        # the arc-length inverse is NumPy; only curve files build a spline
+        code = (
+            "import sys; import curvepulse.cli as cli;"
+            "assert cli.main(['synth', '--builtin', 'clifford_fig1', '--samples', '1024',"
+            f" '--out', {str(tmp_path / 'syn')!r}]) == 0;"
+            "assert 'scipy' not in sys.modules, 'synth'"
+        )
+        subprocess.run([sys.executable, "-c", code], env=python_env(), check=True)
 
 
 class TestAnalyze:

@@ -3,10 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline, PchipInterpolator
 
 import curvepulse as cp
 from curvepulse import curves
-from curvepulse._numerics import fd1, fd2, fd3, kabsch_align
+from curvepulse._numerics import _pchip_slopes, fd1, fd2, fd3, kabsch_align, pchip
 from curvepulse.curves import (
     _nearest_valid,
     _sphere_loop_point,
@@ -37,6 +38,77 @@ class TestStencils:
     def test_requires_enough_samples(self):
         with pytest.raises(InputError):
             fd1(np.zeros(4), 0.1)
+
+
+def _full_grid_reparameterize(sampler, span, n_samples, rel_tol=1e-9):
+    """Reference: sample every dense level whole, invert with scipy's PCHIP."""
+    lo, hi = span
+    m = max(8 * n_samples, 32768)
+    prev_len = prev_refined = None
+    while True:
+        lam = np.linspace(lo, hi, m + 1)
+        seg = np.linalg.norm(np.diff(sampler(lam), axis=0), axis=1)
+        total = float(seg.sum())
+        if prev_len is not None:
+            refined = total + (total - prev_len) / 3.0
+            if (
+                abs(total - prev_len) <= rel_tol * total
+                or (prev_refined is not None and abs(refined - prev_refined) <= rel_tol * refined)
+                or 2 * m > 2**22
+            ):
+                break
+            prev_refined = refined
+        prev_len = total
+        m *= 2
+    s_dense = np.concatenate([[0.0], np.cumsum(seg)]) * (refined / total)
+    t = np.linspace(0.0, refined, n_samples)
+    out = sampler(PchipInterpolator(s_dense, lam)(np.clip(t, 0.0, s_dense[-1])))
+    return t, out - out[0]
+
+
+class TestPchip:
+    """The local PCHIP against scipy's global one, bit for bit."""
+
+    @staticmethod
+    def assert_matches_scipy(x, y, xq):
+        assert np.array_equal(pchip(x, y, xq), PchipInterpolator(x, y)(xq))
+
+    def test_random_increasing_data(self):
+        rng = np.random.default_rng(11)
+        for n in (3, 4, 7, 50, 400):
+            x = np.cumsum(rng.uniform(0.01, 2.0, n))
+            y = np.cumsum(rng.exponential(1.0, n))
+            # queries between knots, on every knot and at both ends
+            xq = np.sort(np.concatenate([rng.uniform(x[0], x[-1], 200), x, x[[0, -1]]]))
+            self.assert_matches_scipy(x, y, xq)
+
+    def test_sign_changes_and_zero_slopes(self):
+        rng = np.random.default_rng(12)
+        x = np.cumsum(rng.uniform(0.1, 1.0, 60))
+        y = np.round(rng.normal(0.0, 2.0, 60))  # repeated values: zero secants
+        y[20:25] = y[19]
+        xq = np.sort(np.concatenate([np.linspace(x[0], x[-1], 999), x]))
+        self.assert_matches_scipy(x, y, xq)
+        # knots 19-24 each touch a zero secant of the flat run
+        assert np.all(_pchip_slopes(x, y, np.arange(19, 25)) == 0.0)
+
+    @pytest.mark.parametrize(
+        "y, end_slope",
+        [
+            ([0.0, 1.0, 6.0, 7.0], 0.0),  # one-sided estimate against the first secant
+            ([0.0, 1.0, -4.0, -3.0], 3.0),  # overshoot limited to three secants
+            ([0.0, 1.0, 1.5, 1.7], 1.25),  # plain one-sided estimate
+        ],
+    )
+    def test_end_slope_branches(self, y, end_slope):
+        x = np.arange(4.0)
+        y = np.asarray(y)
+        assert _pchip_slopes(x, y, np.array([0]))[0] == end_slope
+        # the mirrored data put the same branch at the right end
+        assert _pchip_slopes(x, -y[::-1], np.array([3]))[0] == end_slope
+        xq = np.linspace(0.0, 3.0, 61)
+        self.assert_matches_scipy(x, y, xq)
+        self.assert_matches_scipy(x, -y[::-1], xq)
 
 
 class TestReparameterize:
@@ -98,12 +170,47 @@ class TestReparameterize:
             calls.clear()
             build()
             assert len(calls) <= ceiling, name
+            if name == "circle":
+                # nested grids: the 32768-interval level once, each doubling
+                # only its new midpoints, then the output samples
+                assert sum(calls) <= 4 * 32768 + 1 + 4096
 
     def test_rejects_zero_length(self):
         with pytest.raises(InputError):
             cp.reparameterize_by_arclength(
                 lambda lam: np.zeros((len(np.atleast_1d(lam)), 3)), (0.0, 1.0), 64
             )
+
+    def test_rejects_repeated_point(self):
+        # a sampler that stalls repeats points, so lambda(s) has no inverse
+        def sampler(lam):
+            lam = np.clip(np.atleast_1d(lam), 0.25, 0.75)
+            return np.stack([lam, lam**2, np.zeros_like(lam)], axis=1)
+
+        with pytest.raises(InputError, match="repeats a point"):
+            cp.reparameterize_by_arclength(sampler, (0.0, 1.0), 64)
+
+    @pytest.mark.parametrize("name", ["clifford_fig1", "alpha_eq12", "perturbed_circle", "spline"])
+    def test_matches_full_grid_reference(self, name):
+        # pointwise samplers see the same dense points whether each level is
+        # sampled whole or from its new midpoints, so the curve is unchanged
+        if name == "clifford_fig1":
+            sampler, span = curves._clifford_sampler(curves.CLIFFORD_Q), (0.0, 1.0)
+        elif name == "alpha_eq12":
+            sampler, span = _sphere_loop_point, (0.0, 2 * np.pi)
+        elif name == "perturbed_circle":
+            def sampler(lam):
+                lam = np.atleast_1d(lam)
+                return curves._circle_sampler(1.0)(lam) + 0.1 * np.sin(3 * lam)[:, None]
+
+            span = (0.0, 2 * np.pi)
+        else:  # the cubic spline load_curve fits through a file's rows
+            rows = cp.random_fourier_loop(5, n_samples=512)
+            sampler, span = CubicSpline(rows.t, rows.points, axis=0), (0.0, rows.t[-1])
+        got = cp.reparameterize_by_arclength(sampler, span, 2048)
+        want_t, want_points = _full_grid_reparameterize(sampler, span, 2048)
+        assert np.array_equal(got.t, want_t)
+        assert np.array_equal(got.points, want_points)
 
     def test_rejects_non_finite(self):
         def sampler(lam):
