@@ -15,28 +15,30 @@ import numpy as np
 from ._numerics import carried_unwrap as _carried_unwrap
 from ._numerics import cumtrapz_end_corrected
 from .curves import SpaceCurve, area_diagnostics
-from .errors import ConvergenceError, InputError
-from .simulator import interaction_tangent, magnus_errors, u0_trajectory
+from .errors import InputError
+from .simulator import MagnusErrors, _interaction_curve, _magnus_from
 from .synthesis import (
     PulseWaveform,
+    _bridged_drive_angle,
     canonical_frame,
     pulses_from_curve,
     read_pulse_file,
     start_frame,
 )
 
-ANALYSIS_SUBSTEP_CAP = 2 ** 15
-_UNIT_SPEED_TOL = 1e-6
 _DEGEN_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class ReconstructionResult:
+    """Curve, phase tracks and Magnus integrals of one trajectory."""
+
     curve: SpaceCurve
     theta: np.ndarray
     phi_angle: np.ndarray
     unit_speed_error: float
     refinement: int
+    magnus: MagnusErrors
 
 
 @dataclass(frozen=True)
@@ -80,34 +82,19 @@ class RobustnessReport:
         }
 
 
-def curve_from_pulse(pulse, refinement=None, max_substeps=ANALYSIS_SUBSTEP_CAP):
+def curve_from_pulse(pulse, refinement=None):
     """Integrate the noise axis of a pulse into its space curve.
 
     Also tracks the evolution phase angles theta(t), phi(t) continuously
-    through the chart degeneracies.  The curve is returned on the pulse's
-    own grid; a unit-speed failure triggers refinement doubling up to the
-    substep cap before giving up.
+    through the chart degeneracies, and carries the Magnus integrals of the
+    same trajectory.  The curve is returned on the pulse's own grid; the
+    default refinement is magnus_errors'.  The curve is unit speed by
+    construction; unit_speed_error reports the rounding left.
     """
     if not isinstance(pulse, PulseWaveform):
         raise InputError("curve_from_pulse expects a PulseWaveform")
-    n = pulse.n_samples
-    if refinement is None:
-        refinement = max(1, min(8, (max_substeps - 1) // (n - 1)))
-    refinement = int(refinement)
-
-    while True:
-        u1, u2, dt = u0_trajectory(pulse, refinement)
-        v = interaction_tangent(u1, u2)
-        speed_err = float(np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)))
-        if speed_err <= _UNIT_SPEED_TOL:
-            break
-        if (n - 1) * 2 * refinement + 1 > max_substeps:
-            raise ConvergenceError(
-                f"unit-speed violation {speed_err:.2e} persists at the substep cap"
-            )
-        refinement *= 2
-
-    positions = cumtrapz_end_corrected(v, dt)
+    u1, u2, v, positions, dt, step = _interaction_curve(pulse, refinement)
+    speed_err = float(np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)))
 
     # phase tracks: arg(u1) = (theta+phi)/2, arg(i u2) = (phi-theta)/2
     phi0 = float(pulse.phi[0])
@@ -116,10 +103,10 @@ def curve_from_pulse(pulse, refinement=None, max_substeps=ANALYSIS_SUBSTEP_CAP):
     theta = a_sum - a_diff
     phi_angle = a_sum + a_diff
 
-    step = refinement
     curve = SpaceCurve(pulse.t.copy(), positions[::step], source_tag="reconstructed")
+    magnus = _magnus_from(v, positions, dt)
     return ReconstructionResult(
-        curve, theta[::step], phi_angle[::step], speed_err, refinement
+        curve, theta[::step], phi_angle[::step], speed_err, step, magnus
     )
 
 
@@ -144,10 +131,14 @@ def reconstruct_from_frenet(frenet, r0=None, frame0=None):
 
 
 def robustness_report(pulse, closure_rtol=1e-3, area_rtol=1e-3, refinement=None):
-    """Assemble closure, area, and Magnus diagnostics into a classification."""
+    """Assemble closure, area, and Magnus diagnostics into a classification.
+
+    The pulse is evolved once, at `refinement` (default: magnus_errors'):
+    every number in the report comes from that one trajectory.
+    """
     rec = curve_from_pulse(pulse, refinement=refinement)
     diag = area_diagnostics(rec.curve)
-    mag = magnus_errors(pulse)
+    mag = rec.magnus
     length = rec.curve.total_length
 
     closed = diag.closure_residual <= closure_rtol * length
@@ -210,14 +201,7 @@ def import_external_pulse(path, resample_to=None):
         t = t - t[0]
 
     if det is not None and np.any(det != 0.0):
-        mag = np.hypot(wx, wy)
-        ok = mag > 1e-12 * max(float(mag.max()), 1e-300)
-        raw = np.arctan2(wy, wx)
-        if np.any(ok) and not np.all(ok):
-            idx = np.flatnonzero(ok)
-            raw = np.interp(np.arange(len(t)), idx, np.unwrap(raw[idx]))
-        elif not np.any(ok):
-            raw = np.zeros_like(t)
+        mag, raw = _bridged_drive_angle(wx, wy)
         psi = np.unwrap(raw)
         dt = t[1] - t[0]
         lam = cumtrapz_end_corrected(det, dt)

@@ -5,21 +5,21 @@ Cartesian drive components interpolated linearly between waveform samples.
 Every evolution steps with one fourth-order Magnus step over the
 node-sampled Hamiltonian: ``propagate`` and ``infidelity_sweep`` form the
 final product (the sweep for all its noise values in one batch), and the
-interaction-frame trajectory behind the Magnus integrals forms every
-prefix, so the quadratures, not the stepping, limit the accuracy.  The
-Magnus integrals take one trajectory and linear quadratures; the O(N^2)
-nested quadrature runs only as an opt-in oracle
+noise-free interaction-frame trajectory forms every prefix, so the
+quadratures, not the stepping, limit the accuracy.  That one trajectory
+gives the space curve and both Magnus integrals by linear quadratures; the
+O(N^2) nested quadrature runs only as an opt-in oracle
 (``magnus_errors(..., nested=True)``).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _accel
 from ._numerics import cumtrapz_end_corrected, fd1
 from .errors import ConvergenceError, InputError
-from .su2 import Unitary2
+from .su2 import Unitary2, _distance_sq, _su2_pair
 from .synthesis import PulseWaveform
 
 MAX_REFINEMENT = 64
@@ -88,24 +88,8 @@ def _evolve(pulse, delta_beta, refinement):
     return _accel.su2_product(hx, hy, hz, dt)
 
 
-def _distance_sq(u, v):
-    # Squared phase-aligned distance of SU(2) pairs (u1, u2), row by row.
-    # Tr(u^dag v) is real for SU(2), so the aligning phase is +-1 and the
-    # distance is the smaller of |u - v| and |u + v|, free of cancellation.
-    minus = np.abs(u[0] - v[0]) ** 2 + np.abs(u[1] - v[1]) ** 2
-    plus = np.abs(u[0] + v[0]) ** 2 + np.abs(u[1] + v[1]) ** 2
-    return np.minimum(minus, plus)
-
-
 def _largest_change(u, v):
     return float(np.sqrt(np.max(_distance_sq(u, v))))
-
-
-def _su2_pair(u):
-    # (u1, u2) of a unitary with its determinant phase removed; either root
-    # serves, since the distance above is even in the overall sign
-    w = u if isinstance(u, Unitary2) else Unitary2.from_matrix(u)
-    return w.u1, w.u2
 
 
 def _infidelity(d2):
@@ -282,6 +266,29 @@ def u0_trajectory(pulse, refinement):
     return u1, u2, dt
 
 
+def _interaction_curve(pulse, refinement=None):
+    # the one noise-free evolution behind reverse analysis: (u1, u2) at every
+    # substep node, the noise axis v = U0^dag sz U0 (unit speed, as every
+    # node is normalized), its end-corrected running integral (the curve),
+    # dt and the refinement; by default at most MAGNUS_SUBSTEP_CAP substeps
+    if refinement is None:
+        refinement = max(1, (MAGNUS_SUBSTEP_CAP - 1) // (pulse.n_samples - 1))
+    refinement = int(refinement)
+    u1, u2, dt = u0_trajectory(pulse, refinement)
+    v = interaction_tangent(u1, u2)
+    return u1, u2, v, cumtrapz_end_corrected(v, dt), dt, refinement
+
+
+def _magnus_from(v, positions, dt):
+    # A1 is the curve endpoint; A2 the single-pass quadrature of r x v on
+    # the corrected prefixes, linear in the substep count
+    a1 = positions[-1].copy()
+    a2 = np.trapezoid(np.cross(positions, v), dx=dt, axis=0)
+    return MagnusErrors(
+        a1, a2, float(np.linalg.norm(a1)), float(np.linalg.norm(a2)), len(v)
+    )
+
+
 def _a2_end_correction(v, dt):
     # Euler-Maclaurin correction of the cumulative inner integral, applied
     # identically to both quadrature routes.
@@ -294,48 +301,28 @@ def magnus_errors(pulse, refinement=None, nested=False):
     """First- and second-order error integrals from the actual evolution.
 
     The interaction-frame axis U0^dag sz U0 is evaluated on the substep grid
-    and integrated by end-corrected trapezoid rules; the second integral is
-    a single-pass accumulation on the corrected prefixes, linear in the
-    substep count.  nested=True also runs the literal O(N^2) nested
+    and integrated by end-corrected trapezoid rules: A1 is the endpoint of
+    the resulting curve, A2 a single-pass accumulation on its prefixes.
+    This is the trajectory ``curve_from_pulse`` reads, under the same
+    default refinement.  nested=True also runs the literal O(N^2) nested
     trapezoid (capped at MAGNUS_SUBSTEP_CAP substeps) as a test oracle and
     reports its disagreement; route_disagreement is None otherwise.
     nested="auto" is accepted as a synonym for False.
     """
     if not (isinstance(nested, bool) or nested == "auto"):
         raise InputError(f"nested must be True or False, got {nested!r}")
-    n = pulse.n_samples
-    if refinement is None:
-        refinement = max(1, (MAGNUS_SUBSTEP_CAP - 1) // (n - 1))
-    refinement = int(refinement)
-    substeps = (n - 1) * refinement + 1
-
-    if nested is True and substeps > MAGNUS_SUBSTEP_CAP:
+    _, _, v, positions, dt, _ = _interaction_curve(pulse, refinement)
+    mag = _magnus_from(v, positions, dt)
+    if nested is not True:
+        return mag
+    if mag.substeps > MAGNUS_SUBSTEP_CAP:
         raise InputError(
-            f"nested route limited to {MAGNUS_SUBSTEP_CAP} substeps, got {substeps}"
+            f"nested route limited to {MAGNUS_SUBSTEP_CAP} substeps, got {mag.substeps}"
         )
-
-    u1, u2, dt = u0_trajectory(pulse, refinement)
-    v = interaction_tangent(u1, u2)
-
-    r_sim = cumtrapz_end_corrected(v, dt)
-    a1 = r_sim[-1].copy()
-    # single-pass route on the corrected prefixes
-    a2_single = np.trapezoid(np.cross(r_sim, v), dx=dt, axis=0)
-
-    disagreement = None
-    if nested is True:
-        a2_nested = _accel.magnus_nested_r2(v[:, 0], v[:, 1], v[:, 2], dt)
-        a2_nested = a2_nested + _a2_end_correction(v, dt)
-        disagreement = float(np.max(np.abs(a2_nested - a2_single)))
-
-    return MagnusErrors(
-        a1_vector=a1,
-        a2_vector=a2_single,
-        a1_norm=float(np.linalg.norm(a1)),
-        a2_norm=float(np.linalg.norm(a2_single)),
-        substeps=substeps,
-        route_disagreement=disagreement,
-    )
+    a2_nested = _accel.magnus_nested_r2(v[:, 0], v[:, 1], v[:, 2], dt)
+    a2_nested = a2_nested + _a2_end_correction(v, dt)
+    disagreement = float(np.max(np.abs(a2_nested - mag.a2_vector)))
+    return replace(mag, route_disagreement=disagreement)
 
 
 def square_pulse(duration, angle=np.pi, phase=0.0, n_samples=256):

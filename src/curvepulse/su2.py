@@ -138,21 +138,30 @@ def scaled_frobenius_norm(m):
     return float(np.sqrt(np.real(np.trace(m.conj().T @ m)) / 2.0))
 
 
+def _su2_pair(u):
+    # (u1, u2) of a unitary with its determinant phase removed; either root
+    # serves, since the distance below is even in the overall sign
+    w = u if isinstance(u, Unitary2) else Unitary2.from_matrix(u)
+    return w.u1, w.u2
+
+
+def _distance_sq(u, v):
+    # Squared phase-aligned distance of SU(2) pairs (u1, u2), row by row.
+    # Tr(u^dag v) is real for SU(2), so the aligning phase is +-1 and the
+    # distance is the smaller of |u - v| and |u + v|, free of cancellation.
+    minus = np.abs(u[0] - v[0]) ** 2 + np.abs(u[1] - v[1]) ** 2
+    plus = np.abs(u[0] + v[0]) ** 2 + np.abs(u[1] + v[1]) ** 2
+    return np.minimum(minus, plus)
+
+
 def gate_distance(u, v):
     """Phase-aligned operator-norm distance min_phase ||u - e^{i phase} v||.
 
-    For unitaries this equals sqrt(2 - |Tr(u^dag v)|); near zero that form
-    loses everything to cancellation (floor ~sqrt(eps)), so small distances
-    are evaluated as the operator norm of the phase-aligned difference.
+    With both determinant phases removed the aligning phase is +-1, and the
+    difference of two SU(2) pairs is a scaled unitary whose operator norm is
+    the pair distance, so small distances keep their digits.
     """
-    a = as_matrix(u)
-    b = as_matrix(v)
-    tr = np.trace(a.conj().T @ b)
-    gap = 2.0 - abs(tr)
-    if gap > 1e-8:
-        return float(np.sqrt(max(0.0, gap)))
-    diff = a - b * (np.conj(tr) / abs(tr))
-    return float(np.linalg.norm(diff, ord=2))
+    return float(np.sqrt(_distance_sq(_su2_pair(u), _su2_pair(v))))
 
 
 def phase_align(u, reference):

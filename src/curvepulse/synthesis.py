@@ -358,6 +358,21 @@ def transform_to_transverse_frame(t, omega_x, omega_z, phase0=0.0, phase_ramp=No
     )
 
 
+def _bridged_drive_angle(wx, wy):
+    # envelope and drive angle; where the envelope is below 1e-12 of its
+    # peak the angle is interpolated over the unwrapped valid samples
+    mag = np.hypot(wx, wy)
+    ok = mag > 1e-12 * max(float(mag.max()), 1e-300)
+    raw = np.arctan2(wy, wx)
+    if not np.all(ok):
+        if not np.any(ok):
+            raw = np.zeros_like(raw)
+        else:
+            idx = np.flatnonzero(ok)
+            raw = np.interp(np.arange(len(raw)), idx, np.unwrap(raw[idx]))
+    return mag, raw
+
+
 def transform_to_lab_frame(pulse):
     """Signed-envelope export: drive along one axis plus a z field.
 
@@ -367,22 +382,11 @@ def transform_to_lab_frame(pulse):
     """
     wx = pulse.omega_x
     wy = pulse.omega_y
-    t = pulse.t
-    dt = pulse.dt
-    mag = np.hypot(wx, wy)
-    floor = 1e-12 * max(float(mag.max()), 1e-300)
-    ok = mag > floor
-    raw = np.arctan2(wy, wx)
-    if not np.all(ok):
-        if not np.any(ok):
-            raw = np.zeros_like(raw)
-        else:
-            idx = np.flatnonzero(ok)
-            raw = np.interp(np.arange(len(t)), idx, np.unwrap(raw[idx]))
+    _, raw = _bridged_drive_angle(wx, wy)
     xi = np.unwrap(raw, period=np.pi)
     signed = wx * np.cos(xi) + wy * np.sin(xi)
-    omega_z = -fd1(xi, dt)
-    return LabFramePulse(t, signed, omega_z, float(xi[0]), float(xi[0]) - xi)
+    omega_z = -fd1(xi, pulse.dt)
+    return LabFramePulse(pulse.t, signed, omega_z, float(xi[0]), float(xi[0]) - xi)
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,8 @@ def test_criterion_02_geometric_dynamic_identity(builtin_pulses):
     for name in BUILTINS:
         pulse = builtin_pulses[name]
         mag = cp.magnus_errors(pulse)
-        rec = cp.curve_from_pulse(pulse)
+        # a second, finer trajectory, so the identity compares two evolutions
+        rec = cp.curve_from_pulse(pulse, refinement=8)
         diag = cp.area_diagnostics(rec.curve)
         worst1 = max(worst1, abs(mag.a1_norm - rec.curve.closure_residual()))
         worst2 = max(worst2, float(np.max(np.abs(mag.a2_vector - diag.r2_vector))))

@@ -96,6 +96,31 @@ class TestRobustnessReport:
         assert main(["analyze", "--pulse-file", str(tmp_path / "circle.csv"), "--out", str(out)]) == 0
         assert (out / "report.json").exists()
 
+    def test_one_evolution_per_audit(self, builtin_pulses, tmp_path, monkeypatch):
+        # curve, closure and both Magnus integrals come from one trajectory
+        calls = []
+        trajectory = _accel.su2_trajectory
+
+        def counted(*args):
+            calls.append(args)
+            return trajectory(*args)
+
+        monkeypatch.setattr(_accel, "su2_trajectory", counted)
+        pulse = builtin_pulses["clifford_fig1"]
+        cp.robustness_report(pulse)
+        assert len(calls) == 1
+        cp.save_pulse_csv(pulse, tmp_path / "p.csv")
+        calls.clear()
+        assert main(["analyze", "--pulse-file", str(tmp_path / "p.csv"), "--out", str(tmp_path / "an")]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("refinement", [1, 4])
+    def test_first_integral_is_the_closure(self, builtin_pulses, refinement):
+        # the refinement reaches every number: A1 is the reported curve's
+        # endpoint, not a second evolution's
+        report = cp.robustness_report(builtin_pulses["alpha_eq12"], refinement=refinement)
+        assert report.magnus_a1_norm == report.closure_residual
+
     def test_perturbation_degrades_closure(self, builtin_frenet):
         f = builtin_frenet["alpha_eq12"]
         base = cp.pulses_from_curve(f)
