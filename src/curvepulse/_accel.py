@@ -3,10 +3,11 @@ the twist-free frame transport.
 
 Every SU(2) evolution steps with one fourth-order Magnus step over
 node-sampled Pauli coefficients (``_magnus4_factors``).  ``su2_product``
-forms only the final product, by pairwise reduction, for one Hamiltonian
-or a batch of them; ``su2_trajectory`` forms every prefix by a blocked
-NumPy scan.  The frame transport is a single vectorized NumPy kernel.
-None of these has a numba twin.  The nested Magnus sum is an O(N^2) test
+forms only the final product, for one Hamiltonian or a batch of them: it
+reduces cache-sized blocks of steps pairwise and chains the blocks in
+order.  ``su2_trajectory`` forms every prefix by a blocked NumPy scan.
+The frame transport is a single vectorized NumPy kernel.  None of these
+has a numba twin.  The nested Magnus sum is an O(N^2) test
 oracle (``simulator.magnus_errors`` runs it only when asked with
 nested=True); it is the one numba-jitted loop, with a pure-NumPy fallback
 that the environment variable CURVEPULSE_NO_NUMBA=1 (checked at import
@@ -30,9 +31,9 @@ __all__ = [
     "transport_components",
 ]
 
-# step factors per chunk of batch rows in su2_product; a chunk's working set
-# is about 72 B per factor, so about 18 MiB whatever the batch size
-_CHUNK_FACTORS = 1 << 18
+# step factors per block of su2_product, over all batch rows; a block's
+# working set is about 72 B per factor, so about 2.3 MiB
+_BLOCK_FACTORS = 1 << 15
 
 try:
     import numba
@@ -136,8 +137,7 @@ def _compose(b1, b2, a1, a2):
 def _pairwise_product(s1, s2):
     # Ordered product of the step factors along the last axis by log-depth
     # pairwise reduction; an odd last factor is folded into its neighbour.
-    # The rounding error grows with the depth, not the length, so one
-    # normalization at the end suffices.
+    # The result is not normalized.
     while s1.shape[-1] > 1:
         if s1.shape[-1] % 2:
             s1[..., -2], s2[..., -2] = _compose(
@@ -145,34 +145,36 @@ def _pairwise_product(s1, s2):
             )
             s1, s2 = s1[..., :-1], s2[..., :-1]
         s1, s2 = _compose(s1[..., 1::2], s2[..., 1::2], s1[..., 0::2], s2[..., 0::2])
-    u1, u2 = s1[..., 0], s2[..., 0]
-    norm = np.sqrt(np.abs(u1) ** 2 + np.abs(u2) ** 2)
-    return u1 / norm, u2 / norm
+    return s1[..., 0], s2[..., 0]
 
 
 def su2_product(hx, hy, hz, dt):
     """Final evolution (u1, u2) over node-sampled h arrays.
 
     The steps are those of ``su2_trajectory``; only their ordered product
-    is formed, by pairwise reduction.  hx and hy are 1-D.  A 1-D hz gives
-    (u1, u2) as complex numbers; an hz with a leading batch axis (one row
-    per Hamiltonian, for instance one row per noise value) gives one
-    (u1, u2) per row as arrays.  Rows are reduced in chunks of about
-    _CHUNK_FACTORS step factors, so the working set does not grow with the
-    batch.
+    is formed.  hx and hy are 1-D.  A 1-D hz gives (u1, u2) as complex
+    numbers; an hz with a leading batch axis (one row per Hamiltonian, for
+    instance one row per noise value) gives one (u1, u2) per row as arrays.
+    The steps are taken in blocks of about _BLOCK_FACTORS factors over all
+    rows: each block's factors are built, reduced pairwise and folded into
+    a running product, so the working set stays cache-sized whatever the
+    batch or the step count.  The rounding error grows with the depth of
+    the reduction plus the number of blocks, so one normalization at the
+    end suffices.
     """
     hx, hy = _prep(hx, hy)
     hz = np.asarray(hz, dtype=np.float64)
     dt = float(dt)
     rows = np.atleast_2d(hz)
-    chunk = max(1, _CHUNK_FACTORS // (hx.shape[0] - 1))
-    u1 = np.empty(rows.shape[0], dtype=np.complex128)
-    u2 = np.empty(rows.shape[0], dtype=np.complex128)
-    for i in range(0, rows.shape[0], chunk):
-        # one expression, so no name keeps a chunk's factors into the next
-        u1[i : i + chunk], u2[i : i + chunk] = _pairwise_product(
-            *_magnus4_factors(hx, hy, rows[i : i + chunk], dt)
-        )
+    steps = max(1, _BLOCK_FACTORS // rows.shape[0])
+    u1 = np.ones(rows.shape[0], dtype=np.complex128)
+    u2 = np.zeros(rows.shape[0], dtype=np.complex128)
+    for k in range(0, hx.shape[0] - 1, steps):
+        nodes = slice(k, k + steps + 1)
+        b1, b2 = _pairwise_product(*_magnus4_factors(hx[nodes], hy[nodes], rows[:, nodes], dt))
+        u1, u2 = _compose(b1, b2, u1, u2)
+    norm = np.sqrt(np.abs(u1) ** 2 + np.abs(u2) ** 2)
+    u1, u2 = u1 / norm, u2 / norm
     if hz.ndim == 1:
         return complex(u1[0]), complex(u2[0])
     return u1, u2

@@ -1,7 +1,6 @@
 """Reading and writing tables.  Every file the package writes is opened here,
 and every curve or pulse file it reads is parsed here."""
 
-import contextlib
 import csv
 import hashlib
 import io
@@ -15,19 +14,29 @@ import numpy as np
 from .errors import InputError
 
 
-@contextlib.contextmanager
-def overwrite(path):
-    """Text handle that writes over the old bytes of path, then cuts the tail.
+def write_text(path, text):
+    """Write text as UTF-8 over the old bytes of path; return their sha256.
 
     Opening with mode "w" truncates the file first; ext4 then flushes the old
     contents on close and frees their blocks, so rewriting an output
     directory waits on the disk.  Writing over the old pages and trimming
-    whatever lies past the new end does not.
+    whatever lies past the new end does not.  The digest is of the bytes
+    written, so no caller has to read the file back to hash it.
     """
+    data = text.encode("utf-8")
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w", encoding="utf-8") as fh:
-        yield fh
+    with open(fd, "wb") as fh:
+        fh.write(data)
         fh.truncate()
+    return hashlib.sha256(data).hexdigest()
+
+
+def write_json(path, payload, indent=None):
+    """json.dumps(payload, sort_keys=True) plus a newline; returns the sha256.
+
+    Without an indent json.dumps takes the C encoder (json.dump never does).
+    """
+    return write_text(path, json.dumps(payload, sort_keys=True, indent=indent) + "\n")
 
 
 def write_csv(path, header, columns):
@@ -35,13 +44,11 @@ def write_csv(path, header, columns):
 
     The bytes equal np.savetxt's with fmt="%.17g", delimiter="," and
     comments="", from one % format over the flattened rows instead of one
-    per row.
+    per row.  Returns the sha256 of the bytes written.
     """
     data = np.column_stack(columns)
     row = ",".join(["%.17g"] * data.shape[1]) + "\n"
-    with overwrite(path) as fh:
-        fh.write(header + "\n")
-        fh.write(row * data.shape[0] % tuple(data.ravel().tolist()))
+    return write_text(path, header + "\n" + row * data.shape[0] % tuple(data.ravel().tolist()))
 
 
 class Table(NamedTuple):
@@ -116,6 +123,19 @@ def _load_csv_body(text, stream):
         return None
 
 
+def _numbered_csv_rows(text):
+    """(line number, cells) of every non-empty CSV row after the header.
+
+    A generator, so its pass over the text, and the StringIO that pass
+    needs (four bytes a character), is set up only if parse_rows runs.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)
+    for lineno, row in enumerate(reader, start=2):
+        if row:
+            yield lineno, row
+
+
 def read_table(path, header_spec, min_rows, json_rows):
     """Read a curve or pulse table, CSV or its JSON twin, from one read of the file.
 
@@ -159,9 +179,7 @@ def read_table(path, header_spec, min_rows, json_rows):
         if header not in _headers(header_spec):
             raise InputError(f"{where}: expected header {header_spec}")
         data = _load_csv_body(text, stream)
-        reader = csv.reader(io.StringIO(text, newline=""))
-        next(reader)
-        numbered = ((lineno, row) for lineno, row in enumerate(reader, start=2) if row)
+        numbered = _numbered_csv_rows(text)
     if data is None or not _accepted(data, len(header), min_rows):
         data = parse_rows(numbered, where, len(header), min_rows)
     return Table(data, payload, digest)

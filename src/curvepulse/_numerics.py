@@ -155,25 +155,35 @@ def kabsch_align(moving, fixed):
     return rot, shift, rms
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(7)
+# three-node Gauss-Legendre rule on [-1, 1]: exact for degree 5, so a
+# panel of width h carries an O(h^7) error
+_GL3_NODES = np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
+_GL3_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 9.0
 
 
-def cumulative_cross_integral(f, fprime, lam):
-    """Cumulative integral of f x f' from lam[0], composite 7-point Gauss.
+# panels per integrand call in cumulative_gauss3: the temporaries of one
+# call (a few dozen arrays of 3 * 8192 floats) stay in cache
+_GAUSS3_BLOCK = 1 << 13
 
-    `lam` must be ascending; returns an array of shape (len(lam), 3).
+
+def cumulative_gauss3(f, lam):
+    """Cumulative integral of f from lam[0], one 3-point Gauss panel per interval.
+
+    `lam` must be ascending and `f` map a lambda array to (len, 3) values.
+    f sees each node once, three per interval, in blocks of _GAUSS3_BLOCK
+    intervals.  Returns an array of shape (len(lam), 3).
     """
     lam = np.asarray(lam, dtype=float)
-    a = lam[:-1]
-    b = lam[1:]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    flat = pts.ravel()
-    vals = np.cross(f(flat), fprime(flat)).reshape(len(a), _GL_NODES.size, 3)
-    seg = half[:, None] * np.einsum("q,mqc->mc", _GL_WEIGHTS, vals)
-    out = np.zeros((len(lam), 3))
-    out[1:] = np.cumsum(seg, axis=0)
+    mid = 0.5 * (lam[1:] + lam[:-1])
+    half = 0.5 * (lam[1:] - lam[:-1])
+    seg = np.empty((mid.size, 3))
+    for i in range(0, mid.size, _GAUSS3_BLOCK):
+        h = half[i : i + _GAUSS3_BLOCK, None]
+        nodes = mid[i : i + _GAUSS3_BLOCK, None] + h * _GL3_NODES
+        vals = f(nodes.ravel()).reshape(h.size, 3, 3)
+        seg[i : i + _GAUSS3_BLOCK] = h * np.einsum("q,mqc->mc", _GL3_WEIGHTS, vals)
+    out = np.zeros((lam.size, 3))
+    np.cumsum(seg, axis=0, out=out[1:])
     return out
 
 

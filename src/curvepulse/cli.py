@@ -5,15 +5,13 @@ byte-identical outputs."""
 
 import argparse
 import functools
-import hashlib
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from ._files import overwrite, write_csv
+from ._files import write_csv, write_json
 from .analysis import curve_from_pulse, import_external_pulse, robustness_report
 from .curves import (
     BUILTIN_CURVES,
@@ -33,25 +31,19 @@ from .synthesis import (
 )
 
 
-def _sha256(path):
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 def _write_json(path, payload):
-    with overwrite(path) as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    return write_json(path, payload, indent=2)
 
 
 def _write_manifest(outdir, command, config, inputs, outputs):
-    """inputs maps each input file's name to the sha256 of the bytes read."""
+    """inputs maps each input file's name to the sha256 of the bytes read,
+    outputs each output file's name to the sha256 of the bytes written."""
     manifest = {
         "version": __version__,
         "command": command,
         "config": config,
         "inputs": inputs,
-        "outputs": {name: _sha256(outdir / name) for name in sorted(outputs)},
+        "outputs": outputs,
     }
     _write_json(outdir / "manifest.json", manifest)
 
@@ -117,11 +109,15 @@ def cmd_synth(args):
     selfcheck = gate_distance(gate.unitary, u_sim)
     selfcheck_infid = average_gate_infidelity(u_sim, gate.unitary)
 
-    save_pulse_csv(pulse, outdir / "pulse.csv")
-    save_pulse_json(pulse, outdir / "pulse.json")
-    write_csv(outdir / "frenet.csv", "t,kappa,tau", [frenet.t, frenet.curvature, frenet.torsion])
+    outputs = {
+        "pulse.csv": save_pulse_csv(pulse, outdir / "pulse.csv"),
+        "pulse.json": save_pulse_json(pulse, outdir / "pulse.json"),
+        "frenet.csv": write_csv(
+            outdir / "frenet.csv", "t,kappa,tau", [frenet.t, frenet.curvature, frenet.torsion]
+        ),
+    }
     m = gate.unitary.matrix
-    _write_json(
+    outputs["gate.json"] = _write_json(
         outdir / "gate.json",
         {
             "axis": gate.axis.tolist(),
@@ -146,9 +142,7 @@ def cmd_synth(args):
         "refinement": args.refinement,
         "seed": args.seed,
     }
-    _write_manifest(
-        outdir, "synth", config, inputs, ["pulse.csv", "pulse.json", "frenet.csv", "gate.json"]
-    )
+    _write_manifest(outdir, "synth", config, inputs, outputs)
     return 0
 
 
@@ -158,25 +152,26 @@ def cmd_analyze(args):
     pulse, inputs = _load_pulse(args)
     report = robustness_report(pulse, refinement=_refinement_arg(args.refinement))
 
-    _write_json(outdir / "report.json", report.to_dict())
-    save_curve_csv(report.reconstructed_curve, outdir / "curve.csv")
-    write_csv(outdir / "theta.csv", "t,theta", [report.reconstructed_curve.t, report.theta_track])
+    curve = report.reconstructed_curve
+    outputs = {
+        "report.json": _write_json(outdir / "report.json", report.to_dict()),
+        "curve.csv": save_curve_csv(curve, outdir / "curve.csv"),
+        "theta.csv": write_csv(outdir / "theta.csv", "t,theta", [curve.t, report.theta_track]),
+    }
     config = {
         "pulse_file": str(args.pulse_file),
         "refinement": args.refinement,
         "samples": args.samples,
         "seed": args.seed,
     }
-    _write_manifest(
-        outdir, "analyze", config, inputs, ["report.json", "curve.csv", "theta.csv"]
-    )
+    _write_manifest(outdir, "analyze", config, inputs, outputs)
     return 0
 
 
 def _parse_target(tokens, pulse, refinement):
     if not tokens or tokens == ["from-curve"]:
         if tokens:
-            rec = curve_from_pulse(pulse)
+            rec = curve_from_pulse(pulse, refinement=refinement)
             gate = target_gate_from_curve(rec.curve, phi0=float(pulse.phi[0]))
             return gate.unitary, {"kind": "from-curve", "angle": gate.angle}
         return None, {"kind": "self"}
@@ -216,9 +211,10 @@ def _parse_grid(text, duration):
 
 
 def _write_sweep(outdir, prefix, sweep, target_info):
+    # the two files' names mapped to the sha256 of their bytes
     columns = [sweep.delta_beta, sweep.infidelity]
-    write_csv(outdir / f"{prefix}sweep.csv", "delta_beta,infidelity", columns)
-    _write_json(
+    sweep_csv = write_csv(outdir / f"{prefix}sweep.csv", "delta_beta,infidelity", columns)
+    fit_json = _write_json(
         outdir / f"{prefix}fit.json",
         {
             "slope": sweep.slope,
@@ -234,7 +230,7 @@ def _write_sweep(outdir, prefix, sweep, target_info):
             "target": target_info,
         },
     )
-    return [f"{prefix}sweep.csv", f"{prefix}fit.json"]
+    return {f"{prefix}sweep.csv": sweep_csv, f"{prefix}fit.json": fit_json}
 
 
 def cmd_sweep(args):
@@ -274,7 +270,7 @@ def cmd_sweep(args):
         base_sweep = infidelity_sweep(
             baseline, target=None, delta_beta=sweep.delta_beta
         )
-        outputs += _write_sweep(outdir, "square_", base_sweep, {"kind": "square-baseline"})
+        outputs.update(_write_sweep(outdir, "square_", base_sweep, {"kind": "square-baseline"}))
 
     config = {
         "pulse_file": str(args.pulse_file),

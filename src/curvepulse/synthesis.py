@@ -12,13 +12,12 @@ the curve rigidly into that pose, which is why rigid motions of the curve
 never change the result.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _accel
-from ._files import overwrite, read_table, write_csv
+from ._files import read_table, write_csv, write_json
 from ._numerics import carried_unwrap, cumtrapz, fd1, fd2
 from .curves import frenet_data
 from .errors import InputError, NoSolutionError
@@ -456,12 +455,13 @@ def solve_target_phase(
 
 
 def save_pulse_csv(pulse, path):
+    """Write the Cartesian drive columns; returns the sha256 of the bytes written."""
     cols = [pulse.t, pulse.omega_x, pulse.omega_y]
     header = "t,omega_x,omega_y"
     if pulse.detuning is not None:
         cols.append(pulse.detuning)
         header += ",detuning"
-    write_csv(path, header, cols)
+    return write_csv(path, header, cols)
 
 
 def _clean_metadata(metadata):
@@ -469,6 +469,7 @@ def _clean_metadata(metadata):
 
 
 def save_pulse_json(pulse, path):
+    """Write omega, phi, detuning and metadata; returns the sha256 of the bytes written."""
     payload = {
         "t": pulse.t.tolist(),
         "omega": pulse.omega.tolist(),
@@ -476,10 +477,7 @@ def save_pulse_json(pulse, path):
         "detuning": None if pulse.detuning is None else pulse.detuning.tolist(),
         "metadata": _clean_metadata(pulse.metadata),
     }
-    with overwrite(path) as fh:
-        # json.dumps encodes in C; json.dump always takes the Python encoder
-        fh.write(json.dumps(payload, sort_keys=True))
-        fh.write("\n")
+    return write_json(path, payload)
 
 
 def _pulse_json_rows(payload, where):

@@ -150,14 +150,16 @@ class TestPathEquality:
             assert abs(a2 - b2[-1]) < 1e-12, label
 
     def test_batched_product_matches_rows(self, step_fields):
-        # a batch of hz rows, spanning more than one internal row chunk,
-        # gives the same (u1, u2) as one product per row
+        # a batch of hz rows gives the same (u1, u2) as one product per row;
+        # over 40 rows the 4999 steps span six full blocks and a partial one,
+        # while each single row fits in one block
         hx, hy, hz, dt = step_fields
-        chunk = _accel._CHUNK_FACTORS // (hx.size - 1)
-        rows = hz[None, :] + np.linspace(-1.0, 1.0, chunk + 3)[:, None]
+        rows = hz[None, :] + np.linspace(-1.0, 1.0, 40)[:, None]
+        block = _accel._BLOCK_FACTORS // rows.shape[0]
+        assert block < hx.size - 1 and (hx.size - 1) % block
         u1, u2 = _accel.su2_product(hx, hy, rows, dt)
         assert u1.shape == u2.shape == (rows.shape[0],)
-        for i in (0, chunk - 1, chunk, chunk + 2):
+        for i in (0, 13, 39):
             b1, b2 = _accel.su2_product(hx, hy, rows[i], dt)
             assert abs(u1[i] - b1) < 1e-13
             assert abs(u2[i] - b2) < 1e-13

@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import json
 import subprocess
@@ -143,15 +144,26 @@ class TestSynth:
         assert "line 1: expected 4 columns, got 1" in capsys.readouterr().err
 
     def test_curve_file_read_and_hashed_once(self, tmp_path, monkeypatch):
+        # the input is read once and hashed from that read; every output is
+        # hashed from the bytes written, so no file is read back
         curve_file = tmp_path / "loop.csv"
         cp.save_curve_csv(cp.random_fourier_loop(2, n_samples=512), curve_file)
-        hashed = []
-        inner = cli._sha256
-        monkeypatch.setattr(cli, "_sha256", lambda path: hashed.append(path) or inner(path))
+        reads = []
+        inner = builtins.open
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            if not isinstance(file, int) and not set(mode) & set("wax+"):
+                reads.append(Path(file))
+            return inner(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
         out = tmp_path / "out"
         rc = main(["synth", "--curve-file", str(curve_file), "--samples", "1024", "--out", str(out)])
         assert rc == 0
-        assert curve_file not in hashed and len(hashed) == 4  # the four outputs only
+        rc = main(["analyze", "--pulse-file", str(out / "pulse.csv"), "--out", str(tmp_path / "an")])
+        assert rc == 0
+        monkeypatch.undo()
+        assert [p for p in reads if tmp_path in p.parents] == [curve_file, out / "pulse.csv"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["inputs"] == {
             "curve_file": hashlib.sha256(curve_file.read_bytes()).hexdigest()
@@ -240,6 +252,23 @@ class TestAnalyze:
 
 
 class TestSweep:
+    def test_from_curve_target_uses_refinement(self, tmp_path, synth_out, monkeypatch):
+        # the target curve is evolved at the sweep's --refinement, and at
+        # the default refinement when none is given
+        seen = []
+        inner = cli.curve_from_pulse
+
+        def recording(pulse, refinement=None):
+            seen.append(refinement)
+            return inner(pulse, refinement=refinement)
+
+        monkeypatch.setattr(cli, "curve_from_pulse", recording)
+        args = ["sweep", "--pulse-file", str(synth_out / "pulse.csv"), "--target", "from-curve"]
+        args += ["--grid", "1e-3:4e-2:5"]
+        assert main(args + ["--refinement", "4", "--out", str(tmp_path / "r4")]) == 0
+        assert main(args + ["--out", str(tmp_path / "auto")]) == 0
+        assert seen == [4, None]
+
     def test_sweep_with_square_baseline(self, tmp_path, synth_out):
         out = tmp_path / "sweep"
         rc = main(

@@ -10,8 +10,8 @@ from curvepulse import curves
 from curvepulse._numerics import _pchip_slopes, fd1, fd2, fd3, kabsch_align, pchip
 from curvepulse.curves import (
     _nearest_valid,
+    _sphere_loop_and_velocity,
     _sphere_loop_point,
-    _sphere_loop_velocity,
     save_curve_csv,
     save_curve_json,
 )
@@ -132,7 +132,7 @@ class TestReparameterize:
     def test_sphere_loop_arclength_vs_quadrature(self):
         # oracle: adaptive quadrature of |alpha'(lambda)|
         want, err = quad(
-            lambda lam: float(np.linalg.norm(_sphere_loop_velocity(np.array([lam]))[0])),
+            lambda lam: float(np.linalg.norm(_sphere_loop_and_velocity(lam)[1])),
             0.0,
             2 * np.pi,
             limit=200,
@@ -388,6 +388,41 @@ class TestBuiltins:
 
     def test_gamma_closed(self, builtin_curves):
         assert builtin_curves["const_torsion_gamma"].closure_residual() < 1e-6
+
+    def test_gamma_sampler_matches_quad(self):
+        # oracle: adaptive quadrature of alpha x alpha', with alpha' taken by
+        # complex step from the pointwise alpha_eq12 sampler
+        def integrand(lam, c):
+            alpha = _sphere_loop_point(np.array([lam + 1e-30j]))[0]
+            return float(np.cross(alpha.real, alpha.imag / 1e-30)[c])
+
+        lam = np.linspace(0.0, 2 * np.pi, 32769)
+        got = curves._gamma_sampler(lam)
+        for k in np.linspace(0, 32768, 9).astype(int)[1:]:
+            for c in range(3):
+                want, err = quad(
+                    integrand, 0.0, lam[k], args=(c,), epsabs=1e-13, epsrel=1e-13, limit=200
+                )
+                assert err < 1e-13
+                assert abs(got[k, c] - want) < 1e-12, (k, c)
+
+    def test_gamma_integrand_three_nodes_per_lambda(self, monkeypatch):
+        sampled, nodes = [], []
+        sampler, integrand = curves._gamma_sampler, curves._gamma_velocity
+
+        def counted_sampler(lam):
+            sampled.append(np.size(lam))
+            return sampler(lam)
+
+        def counted_integrand(lam):
+            nodes.append(lam.size)
+            return integrand(lam)
+
+        monkeypatch.setattr(curves, "_gamma_sampler", counted_sampler)
+        monkeypatch.setattr(curves, "_gamma_velocity", counted_integrand)
+        cp.builtin_curve("const_torsion_gamma", n_samples=4096)
+        assert sum(sampled) > 0
+        assert sum(nodes) <= 3 * sum(sampled)
 
     def test_unit_speed_all_builtins(self):
         # the five-point speed measurement carries an O(h^4 kappa^5) floor,

@@ -193,6 +193,26 @@ class TestBenchmarkInputs:
         self._check(monkeypatch, path, "curve")
 
 
+    def test_accepted_csv_is_not_set_up_for_the_row_parser(self, tmp_path, monkeypatch):
+        # the row parser's pass over the text (a second csv.reader over a
+        # second StringIO) is built only for input the bulk path rejects
+        readers = []
+        inner = csv.reader
+
+        def counting(*args, **kwargs):
+            readers.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(_files.csv, "reader", counting)
+        path = tmp_path / "pulse.csv"
+        cp.save_pulse_csv(cp.synthetic_smooth_pulse(3, n_samples=512), path)
+        read_table(path, SPECS["pulse"], 2, None)
+        assert len(readers) == 1  # the header
+        path.write_text(path.read_text().replace("\n0,", '\n"0",', 1))
+        read_table(path, SPECS["pulse"], 2, None)
+        assert len(readers) == 3  # the header, then the row parser
+
+
 class TestDigest:
     def test_digest_is_of_parsed_bytes(self, tmp_path, builtin_pulses):
         path = tmp_path / "pulse.json"
