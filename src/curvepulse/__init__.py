@@ -48,12 +48,6 @@ from .su2 import (
     angles_from_unitary,
     axis_angle_unitary,
     gate_distance,
-    pauli_compose,
-    pauli_decompose,
-    phase_align,
-    rotation_from_unitary,
-    scaled_frobenius_norm,
-    step_propagator,
     unitary_axis_angle,
     unitary_from_angles,
     unitary_from_rotation,

@@ -134,27 +134,6 @@ def carried_unwrap(angles, ok, seed=None):
     return out
 
 
-def kabsch_align(moving, fixed):
-    """Best rigid alignment of `moving` onto `fixed` (proper rotation + shift).
-
-    Returns (rotation, translation, rms) so that moving @ rotation.T + translation
-    approximates fixed with the returned root-mean-square residual.
-    """
-    moving = np.asarray(moving, dtype=float)
-    fixed = np.asarray(fixed, dtype=float)
-    mc = moving.mean(axis=0)
-    fc = fixed.mean(axis=0)
-    h = (moving - mc).T @ (fixed - fc)
-    u, _, vt = np.linalg.svd(h)
-    sign = np.sign(np.linalg.det(vt.T @ u.T))
-    d = np.diag([1.0, 1.0, sign])
-    rot = vt.T @ d @ u.T
-    shift = fc - rot @ mc
-    aligned = moving @ rot.T + shift
-    rms = float(np.sqrt(np.mean(np.sum((aligned - fixed) ** 2, axis=1))))
-    return rot, shift, rms
-
-
 # three-node Gauss-Legendre rule on [-1, 1]: exact for degree 5, so a
 # panel of width h carries an O(h^7) error
 _GL3_NODES = np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])

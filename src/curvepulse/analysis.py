@@ -18,6 +18,7 @@ from .curves import SpaceCurve, area_diagnostics
 from .errors import InputError
 from .simulator import MagnusErrors, _interaction_curve, _magnus_from
 from .synthesis import (
+    CLOSURE_RTOL,
     PulseWaveform,
     _bridged_drive_angle,
     canonical_frame,
@@ -27,6 +28,8 @@ from .synthesis import (
 )
 
 _DEGEN_TOL = 1e-8
+# projected areas at most this fraction of the squared length count as zero
+AREA_RTOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -47,9 +50,10 @@ class RobustnessReport:
 
     predicted_slope classifies the log-log infidelity exponent that the
     cancelled error orders guarantee: 2 (uncorrected), 4 (closed curve), 6
-    (closed with vanishing projected areas); the thresholds are relative to
-    curve length / length squared.  It is a lower bound: a loop whose own
-    symmetry cancels a further order scales faster (alpha_eq12 reaches 8).
+    (closed with vanishing projected areas); the thresholds CLOSURE_RTOL and
+    AREA_RTOL are relative to curve length / length squared.  It is a lower
+    bound: a loop whose own symmetry cancels a further order scales faster
+    (alpha_eq12 reaches 8).
     """
 
     closure_residual: float
@@ -62,8 +66,6 @@ class RobustnessReport:
     curve_length: float
     theta_track: np.ndarray
     reconstructed_curve: SpaceCurve
-    closure_rtol: float
-    area_rtol: float
 
     def to_dict(self):
         return {
@@ -76,8 +78,8 @@ class RobustnessReport:
             "classification": self.classification,
             "curve_length": self.curve_length,
             "theta_final": float(self.theta_track[-1]),
-            "closure_rtol": self.closure_rtol,
-            "area_rtol": self.area_rtol,
+            "closure_rtol": CLOSURE_RTOL,
+            "area_rtol": AREA_RTOL,
             "n_samples": int(self.reconstructed_curve.n_samples),
         }
 
@@ -130,7 +132,7 @@ def reconstruct_from_frenet(frenet, r0=None, frame0=None):
     return points
 
 
-def robustness_report(pulse, closure_rtol=1e-3, area_rtol=1e-3, refinement=None):
+def robustness_report(pulse, refinement=None):
     """Assemble closure, area, and Magnus diagnostics into a classification.
 
     The pulse is evolved once, at `refinement` (default: magnus_errors'):
@@ -141,8 +143,8 @@ def robustness_report(pulse, closure_rtol=1e-3, area_rtol=1e-3, refinement=None)
     mag = rec.magnus
     length = rec.curve.total_length
 
-    closed = diag.closure_residual <= closure_rtol * length
-    flat = bool(np.all(np.abs(diag.projected_areas) <= area_rtol * length * length))
+    closed = diag.closure_residual <= CLOSURE_RTOL * length
+    flat = bool(np.all(np.abs(diag.projected_areas) <= AREA_RTOL * length * length))
     if closed and flat:
         slope, label = 6, "second-order"
     elif closed:
@@ -161,12 +163,10 @@ def robustness_report(pulse, closure_rtol=1e-3, area_rtol=1e-3, refinement=None)
         curve_length=length,
         theta_track=rec.theta,
         reconstructed_curve=rec.curve,
-        closure_rtol=closure_rtol,
-        area_rtol=area_rtol,
     )
 
 
-def import_external_pulse(path, resample_to=None):
+def import_external_pulse(path):
     """Load a pulse file, validate it, and normalize it for analysis.
 
     Non-uniform grids are resampled linearly (the worst interpolation
@@ -185,9 +185,8 @@ def import_external_pulse(path, resample_to=None):
 
     steps = np.diff(t)
     uniform = np.max(np.abs(steps - steps[0])) <= 1e-9 * steps[0]
-    if not uniform or resample_to is not None:
-        n_out = int(resample_to) if resample_to is not None else len(t)
-        t_new = np.linspace(t[0], t[-1], n_out)
+    if not uniform:
+        t_new = np.linspace(t[0], t[-1], len(t))
         wx_new = np.interp(t_new, t, wx)
         wy_new = np.interp(t_new, t, wy)
         det_new = np.interp(t_new, t, det) if det is not None else None

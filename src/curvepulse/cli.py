@@ -22,7 +22,7 @@ from .curves import (
 )
 from .errors import ConvergenceError, CurvePulseError, InputError
 from .simulator import average_gate_infidelity, infidelity_sweep, propagate, square_pulse
-from .su2 import axis_angle_unitary, gate_distance
+from .su2 import axis_angle_unitary, gate_distance, unitary_axis_angle
 from .synthesis import (
     pulses_from_curve,
     save_pulse_csv,
@@ -86,12 +86,15 @@ def _load_pulse(args):
 
 
 def _refinement_arg(value):
-    if value is None or value == "auto":
+    if value == "auto":
         return None
+    if not value.isdecimal() or int(value) < 1:
+        raise InputError(f"--refinement expects 'auto' or an integer >= 1, got {value!r}")
     return int(value)
 
 
 def cmd_synth(args):
+    refinement = _refinement_arg(args.refinement)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     curve, inputs = _resolve_curve(args)
@@ -105,7 +108,7 @@ def cmd_synth(args):
             file=sys.stderr,
         )
 
-    u_sim = propagate(pulse, 0.0, refinement=_refinement_arg(args.refinement))
+    u_sim = propagate(pulse, 0.0, refinement=refinement)
     selfcheck = gate_distance(gate.unitary, u_sim)
     selfcheck_infid = average_gate_infidelity(u_sim, gate.unitary)
 
@@ -140,17 +143,17 @@ def cmd_synth(args):
         "phi0": args.phi0,
         "samples": args.samples,
         "refinement": args.refinement,
-        "seed": args.seed,
     }
     _write_manifest(outdir, "synth", config, inputs, outputs)
     return 0
 
 
 def cmd_analyze(args):
+    refinement = _refinement_arg(args.refinement)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     pulse, inputs = _load_pulse(args)
-    report = robustness_report(pulse, refinement=_refinement_arg(args.refinement))
+    report = robustness_report(pulse, refinement=refinement)
 
     curve = report.reconstructed_curve
     outputs = {
@@ -161,8 +164,6 @@ def cmd_analyze(args):
     config = {
         "pulse_file": str(args.pulse_file),
         "refinement": args.refinement,
-        "samples": args.samples,
-        "seed": args.seed,
     }
     _write_manifest(outdir, "analyze", config, inputs, outputs)
     return 0
@@ -190,6 +191,8 @@ def _parse_target(tokens, pulse, refinement):
         raise InputError(f"--target: {exc}") from exc
     if axis.shape != (3,):
         raise InputError("--target axis needs three components")
+    if not (np.all(np.isfinite(axis)) and np.isfinite(angle)):
+        raise InputError("--target axis and angle must be finite")
     return axis_angle_unitary(axis, angle), {
         "kind": "axis-angle",
         "axis": axis.tolist(),
@@ -205,8 +208,8 @@ def _parse_grid(text, duration):
         lo, hi, npts = float(lo), float(hi), int(npts)
     except ValueError as exc:
         raise InputError(f"--grid expects lo:hi:npts, got {text!r}: {exc}") from exc
-    if not (0 < lo < hi) or npts < 3:
-        raise InputError("--grid needs 0 < lo < hi and npts >= 3")
+    if not (0 < lo < hi < np.inf) or npts < 3:
+        raise InputError("--grid needs finite 0 < lo < hi and npts >= 3")
     return np.logspace(np.log10(lo), np.log10(hi), npts) / duration
 
 
@@ -234,10 +237,10 @@ def _write_sweep(outdir, prefix, sweep, target_info):
 
 
 def cmd_sweep(args):
+    refinement = _refinement_arg(args.refinement)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     pulse, inputs = _load_pulse(args)
-    refinement = _refinement_arg(args.refinement)
     grid = _parse_grid(args.grid, pulse.duration)
     mean_omega = float(np.mean(pulse.omega))
     if grid is not None and mean_omega > 0 and grid.max() > 0.2 * mean_omega:
@@ -263,8 +266,6 @@ def cmd_sweep(args):
         angle = target_info.get("angle")
         if angle is None:
             u0 = propagate(pulse, 0.0, refinement=sweep.refinement)
-            from .su2 import unitary_axis_angle
-
             _, angle = unitary_axis_angle(u0)
         baseline = square_pulse(pulse.duration, angle=float(angle), n_samples=256)
         base_sweep = infidelity_sweep(
@@ -279,8 +280,6 @@ def cmd_sweep(args):
         "compare": args.compare,
         "refinement": args.refinement,
         "certify": args.certify,
-        "samples": args.samples,
-        "seed": args.seed,
     }
     _write_manifest(outdir, "sweep", config, inputs, outputs)
     return 0
@@ -296,14 +295,13 @@ def build_parser():
 
     def common(p):
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--samples", type=int, default=4096, help="curve sample count")
         p.add_argument(
             "--refinement", default="auto", help="substeps per sample interval, or 'auto'"
         )
-        p.add_argument("--seed", type=int, default=0, help="seed recorded in the manifest")
 
     p_synth = sub.add_parser("synth", help="curve -> pulse + gate report")
     common(p_synth)
+    p_synth.add_argument("--samples", type=int, default=4096, help="curve sample count")
     p_synth.add_argument("--builtin", choices=BUILTIN_CURVES, help="built-in curve name")
     p_synth.add_argument("--curve-file", help="curve CSV/JSON file")
     p_synth.add_argument("--param", action="append", help="builtin parameter k=v")

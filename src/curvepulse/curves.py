@@ -19,6 +19,10 @@ DEFAULT_SAMPLES = 4096
 _MIN_SAMPLES = 64
 _DENSE_FLOOR = 32768
 _DENSE_CAP = 2 ** 22
+# relative change of the arc length at which dense-grid doubling stops
+_LENGTH_RTOL = 1e-9
+# curvature below this fraction of its mean leaves the normal undefined
+_CURVATURE_FLOOR_REL = 1e-8
 
 SQRT2 = np.sqrt(2.0)
 CLIFFORD_Q = 1.6054  # phase parameter of the built-in Clifford-gate curve
@@ -127,19 +131,18 @@ def reparameterize_by_arclength(
     lam_span=(0.0, 2.0 * np.pi),
     n_samples=DEFAULT_SAMPLES,
     source_tag="sampled",
-    rel_tol=1e-9,
 ):
     """Resample a parametric curve onto a uniform unit-speed grid.
 
     The cumulative length is built by chord summation on a dense uniform
     lambda grid, doubled until the chord total, or its Richardson
-    extrapolation from the last two grids, changes by less than rel_tol in
-    relative terms.  The grids are nested (every other point of a doubled
-    grid is, bit for bit, a point of the grid before it), so each doubling
-    calls the sampler only on the new midpoints.  lambda(s) is then
-    inverted by a monotone cubic (PCHIP) through the dense (s, lambda)
-    pairs, whose slopes are formed only at the knots next to the output
-    samples.  The output curve starts at the origin and has total_length
+    extrapolation from the last two grids, changes by less than
+    _LENGTH_RTOL in relative terms.  The grids are nested (every other point
+    of a doubled grid is, bit for bit, a point of the grid before it), so
+    each doubling calls the sampler only on the new midpoints.  lambda(s)
+    is then inverted by a monotone cubic (PCHIP) through the dense
+    (s, lambda) pairs, whose slopes are formed only at the knots next to
+    the output samples.  The output curve starts at the origin and has total_length
     equal to its final t value (the extrapolated length).
     """
     lo, hi = float(lam_span[0]), float(lam_span[1])
@@ -164,8 +167,11 @@ def reparameterize_by_arclength(
         if prev_len is not None:
             refined = total + (total - prev_len) / 3.0
             if (
-                abs(total - prev_len) <= rel_tol * total
-                or (prev_refined is not None and abs(refined - prev_refined) <= rel_tol * refined)
+                abs(total - prev_len) <= _LENGTH_RTOL * total
+                or (
+                    prev_refined is not None
+                    and abs(refined - prev_refined) <= _LENGTH_RTOL * refined
+                )
                 or 2 * m > _DENSE_CAP
             ):
                 break
@@ -205,7 +211,7 @@ def _nearest_valid(valid):
     return np.where(hi - idx_flagged < idx_flagged - lo, hi, lo)
 
 
-def frenet_data(curve, curvature_floor_rel=1e-8):
+def frenet_data(curve):
     """Moving frame, curvature = |r''| and torsion of a unit-speed curve."""
     pts = curve.points
     dt = curve.dt
@@ -220,7 +226,7 @@ def frenet_data(curve, curvature_floor_rel=1e-8):
     # differences amplify by 1/dt^2, the frame direction is meaningless
     coord_scale = max(float(np.max(np.linalg.norm(pts, axis=1))), 1e-300)
     noise_floor = 1e3 * np.finfo(float).eps * coord_scale / dt**2
-    floor = max(curvature_floor_rel * float(curvature.mean()), noise_floor)
+    floor = max(_CURVATURE_FLOOR_REL * float(curvature.mean()), noise_floor)
     valid = curvature > floor
 
     normal = np.zeros_like(pts)

@@ -25,6 +25,8 @@ from .synthesis import PulseWaveform
 MAX_REFINEMENT = 64
 MAGNUS_SUBSTEP_CAP = 8192
 _CONVERGENCE_TOL = 1e-8
+# sweep infidelities at or below this sit in the double-precision noise
+INFIDELITY_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,6 @@ class NoiseSweepResult:
     refinement: int
     converged: bool
     last_delta: float
-    asymmetry: float = None
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,8 @@ class MagnusErrors:
 def _substep_nodes(pulse, delta_beta, refinement):
     # Pauli coefficients at the substep nodes; a 1-D delta_beta gives hz one
     # row per noise value, as a broadcast view that allocates no rows
+    if refinement < 1:
+        raise InputError("refinement must be >= 1")
     n = pulse.n_samples
     dt = pulse.dt / refinement
     total = (n - 1) * refinement + 1
@@ -98,64 +101,43 @@ def _infidelity(d2):
     return d2 * (4.0 - d2) / 6.0
 
 
-def _at_and_doubled(pulse, delta_beta, refinement, tol):
-    # evolution at r and at 2r, and the certificate of r from their change
-    u = _evolve(pulse, delta_beta, refinement)
-    u_fine = _evolve(pulse, delta_beta, 2 * refinement)
-    delta = _largest_change(u, u_fine)
-    return u, u_fine, PropagationCertificate(delta < tol, refinement, delta)
-
-
-def _auto_refined(pulse, delta_beta, tol, max_refinement):
-    # doubles the substep count from r=1 until the largest change over all
-    # noise values is below tol, or max_refinement is reached
+def _refined(pulse, delta_beta, refinement):
+    # the one certificate rule.  A given refinement r is evaluated at r and
+    # certified by its change at 2r.  With refinement=None the substep count
+    # is doubled from r=1 until the largest change over all noise values is
+    # below _CONVERGENCE_TOL, or MAX_REFINEMENT is reached.
+    if refinement is not None:
+        r = int(refinement)
+        u = _evolve(pulse, delta_beta, r)
+        delta = _largest_change(u, _evolve(pulse, delta_beta, 2 * r))
+        return u, PropagationCertificate(delta < _CONVERGENCE_TOL, r, delta)
     r = 1
     u_prev = _evolve(pulse, delta_beta, r)
     while True:
         r *= 2
         u = _evolve(pulse, delta_beta, r)
         delta = _largest_change(u_prev, u)
-        if delta < tol or r >= max_refinement:
-            return u, PropagationCertificate(delta < tol, r, delta)
+        if delta < _CONVERGENCE_TOL or r >= MAX_REFINEMENT:
+            return u, PropagationCertificate(delta < _CONVERGENCE_TOL, r, delta)
         u_prev = u
 
 
-def propagate(
-    pulse,
-    delta_beta=0.0,
-    refinement=None,
-    certify=False,
-    tol=_CONVERGENCE_TOL,
-    max_refinement=MAX_REFINEMENT,
-    strict=False,
-):
+def propagate(pulse, delta_beta=0.0, refinement=None, certify=False):
     """Evolution operator of the noisy Hamiltonian over the full waveform.
 
     Each substep is one fourth-order Magnus step over the node-sampled
     Hamiltonian, exact for a constant drive and accurate to O(dt^4) for the
     linearly interpolated one.  With refinement=None the substep count per
-    sample interval is doubled until the result moves by less than `tol`
-    (phase-aligned), up to `max_refinement`.  certify=True returns
-    (unitary, certificate); with a given refinement r the certificate
-    compares r with 2r and the 2r result is returned.  strict=True raises
-    ConvergenceError instead of returning an unconverged result.
+    sample interval is doubled until the result moves by less than 1e-8
+    (phase-aligned), up to MAX_REFINEMENT.  certify=True returns
+    (unitary, certificate); with a given refinement r the r result is
+    returned, certified by its change at 2r, as in infidelity_sweep.
     """
     if not isinstance(pulse, PulseWaveform):
         raise InputError("propagate expects a PulseWaveform")
-    if refinement is None:
-        (u1, u2), cert = _auto_refined(pulse, float(delta_beta), tol, max_refinement)
-    else:
-        refinement = int(refinement)
-        if refinement < 1:
-            raise InputError("refinement must be >= 1")
-        if not certify:
-            return Unitary2(*_evolve(pulse, float(delta_beta), refinement))
-        _, (u1, u2), cert = _at_and_doubled(pulse, float(delta_beta), refinement, tol)
-    if strict and not cert.converged:
-        raise ConvergenceError(
-            f"propagation not converged at refinement {cert.refinement}: "
-            f"delta {cert.last_delta:.3e}"
-        )
+    if refinement is not None and not certify:
+        return Unitary2(*_evolve(pulse, float(delta_beta), int(refinement)))
+    (u1, u2), cert = _refined(pulse, float(delta_beta), refinement)
     u = Unitary2(u1, u2)
     return (u, cert) if certify else u
 
@@ -174,26 +156,21 @@ def default_noise_grid(duration, n_points=12, lo=1e-3, hi=10 ** (-1.5)):
     return np.logspace(np.log10(lo), np.log10(hi), n_points) / duration
 
 
-def infidelity_sweep(
-    pulse,
-    target=None,
-    delta_beta=None,
-    refinement=None,
-    floor=1e-13,
-    check_even=False,
-):
+def infidelity_sweep(pulse, target=None, delta_beta=None, refinement=None):
     """Infidelity across a quasistatic-noise grid and its log-log slope.
 
     target=None measures against the pulse's own noise-free evolution, so
-    the fitted exponent reflects pure noise scaling.  Points below `floor`
-    sit in the double-precision noise and are excluded from the fit.
+    the fitted exponent reflects pure noise scaling.  Points at or below
+    INFIDELITY_FLOOR sit in the double-precision noise and are excluded
+    from the fit.
 
-    Every grid point, the check_even mirror points and the noise-free
-    self-target are evolved as one batched product.  With refinement=None
-    the substep count is doubled on the whole batch until the largest
-    phase-aligned change over all of it is below the convergence tolerance;
-    a given refinement r is evaluated at r and certified by its change at
-    2r.  `converged` and `last_delta` report that certificate.
+    Every grid point and the noise-free self-target are evolved as one
+    batched product, under propagate's certificate rule: with
+    refinement=None the substep count is doubled on the whole batch until
+    the largest phase-aligned change over all of it is below the
+    convergence tolerance; a given refinement r is evaluated at r and
+    certified by its change at 2r.  `converged` and `last_delta` report
+    that certificate.
     """
     if delta_beta is None:
         delta_beta = default_noise_grid(pulse.duration)
@@ -205,24 +182,18 @@ def infidelity_sweep(
         if decades < 1.49:
             raise InputError("delta_beta grid must span at least 1.5 decades")
 
-    # one batch: the grid, its check_even mirror points, the delta_beta=0
-    # self-target; the certificate covers every row
+    # one batch: the grid and the delta_beta=0 self-target; the certificate
+    # covers every row
     n = delta_beta.size
-    top = np.argsort(delta_beta)[-3:] if check_even else np.arange(0)
-    rows = np.concatenate([delta_beta, -delta_beta[top], [0.0] if target is None else []])
-    if refinement is None:
-        (u1, u2), cert = _auto_refined(pulse, rows, _CONVERGENCE_TOL, MAX_REFINEMENT)
-    else:
-        (u1, u2), _, cert = _at_and_doubled(pulse, rows, int(refinement), _CONVERGENCE_TOL)
+    rows = np.concatenate([delta_beta, [0.0] if target is None else []])
+    (u1, u2), cert = _refined(pulse, rows, refinement)
 
     if target is None:
         pair = (u1[-1], u2[-1])
     else:
         pair = _su2_pair(getattr(target, "unitary", target))
-    k = n + top.size
-    infid = _infidelity(_distance_sq((u1[:k], u2[:k]), pair))
-    infid, mirror = infid[:n], infid[n:]
-    used = infid > floor
+    infid = _infidelity(_distance_sq((u1[:n], u2[:n]), pair))
+    used = infid > INFIDELITY_FLOOR
     if int(used.sum()) < 3:
         raise ConvergenceError(
             "fewer than 3 sweep points above the infidelity noise floor"
@@ -231,11 +202,6 @@ def infidelity_sweep(
     logy = np.log10(infid[used])
     slope, intercept = np.polyfit(logx, logy, 1)
     resid = float(np.sqrt(np.mean((np.polyval([slope, intercept], logx) - logy) ** 2)))
-
-    asymmetry = None
-    if check_even:
-        asym = np.abs(mirror - infid[top])
-        asymmetry = float(asym.max() / max(infid[top].max(), 1e-300))
 
     return NoiseSweepResult(
         delta_beta,
@@ -247,7 +213,6 @@ def infidelity_sweep(
         cert.refinement,
         cert.converged,
         cert.last_delta,
-        asymmetry,
     )
 
 

@@ -1,9 +1,9 @@
 """Exact 2x2 algebra for SU(2) evolutions.
 
-Closed-form single-step propagators, the (chi, phi, theta) angle
-parameterization with its degenerate branches, Pauli decomposition, the
-scaled Frobenius norm, phase-aligned gate distances, and the two-to-one
-lift between SU(2) elements and rotations.
+The column-pair representation ``Unitary2``, the (chi, phi, theta) angle
+parameterization with its degenerate branches, phase-aligned gate
+distances, axis-angle conversions, and the lift of a rotation to SU(2).
+Evolutions themselves step in ``_accel``.
 """
 
 from dataclasses import dataclass
@@ -37,7 +37,9 @@ class Unitary2:
 
     @classmethod
     def from_matrix(cls, m, tol=1e-8):
-        m = as_matrix(m)
+        m = np.asarray(m, dtype=complex)
+        if m.shape != (2, 2):
+            raise InputError(f"expected a 2x2 matrix, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise InputError("non-finite matrix entries")
         if np.max(np.abs(m @ m.conj().T - IDENTITY)) > tol:
@@ -52,37 +54,11 @@ class Unitary2:
         return Unitary2(self.u1 / norm, self.u2 / norm)
 
 
-def as_matrix(u):
-    """Accept a Unitary2 or an array-like and return a 2x2 complex ndarray."""
-    if isinstance(u, Unitary2):
-        return u.matrix
-    m = np.asarray(u, dtype=complex)
-    if m.shape != (2, 2):
-        raise InputError(f"expected a 2x2 matrix, got shape {m.shape}")
-    return m
-
-
 class EulerAngles(NamedTuple):
     chi: float
     phi: float
     theta: float
     degenerate: bool = False
-
-
-def step_propagator(h, dt):
-    """exp(-i*dt*(h.sigma)) in closed form for a constant Pauli vector h."""
-    h = np.asarray(h, dtype=float)
-    if h.shape != (3,) or not np.all(np.isfinite(h)) or not np.isfinite(dt):
-        raise InputError("h must be a finite 3-vector and dt finite")
-    if dt <= 0:
-        raise InputError("dt must be positive")
-    a = float(np.linalg.norm(h)) * dt
-    if a == 0.0:
-        return Unitary2(1.0 + 0.0j, 0.0j)
-    snc = np.sin(a) / a * dt
-    u1 = np.cos(a) - 1j * snc * h[2]
-    u2 = snc * (h[1] - 1j * h[0])
-    return Unitary2(complex(u1), complex(u2))
 
 
 def unitary_from_angles(chi, phi, theta):
@@ -114,30 +90,6 @@ def angles_from_unitary(u, tol=_DEGEN_TOL):
     return EulerAngles(float(chi), s + d, s - d, False)
 
 
-def pauli_decompose(m):
-    """Coefficients (x, y, z) with m = id_coeff*I + x*sx + y*sy + z*sz.
-
-    Returns (vector, id_coeff); both may be complex for non-Hermitian input.
-    """
-    m = as_matrix(m)
-    vec = np.array([0.5 * np.trace(m @ p) for p in PAULIS])
-    ident = 0.5 * np.trace(m)
-    return vec, complex(ident)
-
-
-def pauli_compose(vec, id_coeff=0.0):
-    vec = np.asarray(vec)
-    return (
-        id_coeff * IDENTITY + vec[0] * SIGMA_X + vec[1] * SIGMA_Y + vec[2] * SIGMA_Z
-    )
-
-
-def scaled_frobenius_norm(m):
-    """sqrt(Tr(m^dag m)/2): Pauli matrices have unit norm under this scaling."""
-    m = as_matrix(m)
-    return float(np.sqrt(np.real(np.trace(m.conj().T @ m)) / 2.0))
-
-
 def _su2_pair(u):
     # (u1, u2) of a unitary with its determinant phase removed; either root
     # serves, since the distance below is even in the overall sign
@@ -164,16 +116,6 @@ def gate_distance(u, v):
     return float(np.sqrt(_distance_sq(_su2_pair(u), _su2_pair(v))))
 
 
-def phase_align(u, reference):
-    """Multiply u by the global phase that best matches the reference."""
-    a = as_matrix(u)
-    r = as_matrix(reference)
-    tr = np.trace(a.conj().T @ r)
-    if abs(tr) == 0.0:
-        return a
-    return a * (tr / abs(tr))
-
-
 def axis_angle_unitary(axis, angle):
     """cos(angle/2) I - i sin(angle/2) (axis.sigma) for a unit axis."""
     axis = np.asarray(axis, dtype=float)
@@ -189,12 +131,12 @@ def axis_angle_unitary(axis, angle):
 
 def unitary_axis_angle(u):
     """Rotation axis and angle in [0, pi] of u, up to global phase."""
-    m = as_matrix(u)
+    m = (u if isinstance(u, Unitary2) else Unitary2.from_matrix(u)).matrix
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     m = m / np.sqrt(det)
     c = np.clip(np.real(np.trace(m)) / 2.0, -1.0, 1.0)
-    vec, _ = pauli_decompose(m)
-    s_vec = -np.imag(vec)
+    # -i sin(angle/2) axis.sigma is the Pauli part of m
+    s_vec = -np.imag(np.array([0.5 * np.trace(m @ p) for p in PAULIS]))
     s = np.linalg.norm(s_vec)
     angle = 2.0 * np.arctan2(s, c)
     if s < 1e-12:
@@ -204,17 +146,6 @@ def unitary_axis_angle(u):
         angle = 2.0 * np.pi - angle
         axis = -axis
     return axis, float(angle)
-
-
-def rotation_from_unitary(u):
-    """SO(3) matrix R with u^dag (v.sigma) u = (R v).sigma."""
-    m = as_matrix(u)
-    r = np.empty((3, 3))
-    for a in range(3):
-        conj = m.conj().T @ PAULIS[a] @ m
-        for b in range(3):
-            r[b, a] = 0.5 * np.real(np.trace(PAULIS[b] @ conj))
-    return r
 
 
 def unitary_from_rotation(r):

@@ -24,6 +24,8 @@ from .errors import InputError, NoSolutionError
 from .su2 import Unitary2, gate_distance, unitary_axis_angle, unitary_from_angles
 
 _POLE_TOL = 1e-7
+# a curve is closed when its end gap is at most this fraction of its length
+CLOSURE_RTOL = 1e-3
 _Z = np.array([0.0, 0.0, 1.0])
 
 
@@ -263,7 +265,7 @@ def _endpoint_phase_delta(points, dt, final_tz):
     return float(ph_end - np.pi), flags
 
 
-def target_gate_from_curve(curve, frenet=None, phi0=None, closure_rtol=1e-3):
+def target_gate_from_curve(curve, frenet=None, phi0=None):
     """Implemented gate of a curve's pulse, from endpoint geometry alone.
 
     chi comes from the final tangent's polar angle, phi from its azimuth
@@ -279,7 +281,7 @@ def target_gate_from_curve(curve, frenet=None, phi0=None, closure_rtol=1e-3):
     if frenet.flagged[0]:
         flags.append("degenerate_initial_normal")
 
-    closed = curve.closure_residual() <= closure_rtol * curve.total_length
+    closed = curve.closure_residual() <= CLOSURE_RTOL * curve.total_length
     if not closed:
         flags.append("non_robust_open_curve")
 

@@ -6,6 +6,7 @@ import pytest
 
 import curvepulse as cp
 from curvepulse._numerics import cumtrapz, fd1
+from curvepulse.su2 import IDENTITY, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 BUILTINS = list(cp.BUILTIN_CURVES)
 
@@ -37,6 +38,48 @@ def random_special_unitary(rng):
     axis /= np.linalg.norm(axis)
     angle = rng.uniform(0.0, 2.0 * np.pi)
     return cp.axis_angle_unitary(axis, angle)
+
+
+def pauli_compose(vec, id_coeff=0.0):
+    """The 2x2 matrix id_coeff * I + vec . sigma."""
+    vec = np.asarray(vec)
+    return id_coeff * IDENTITY + vec[0] * SIGMA_X + vec[1] * SIGMA_Y + vec[2] * SIGMA_Z
+
+
+def rotation_of(u):
+    """Oracle for the rotation R of a unitary: u^dag (v.sigma) u = (R v).sigma.
+
+    Read off Pauli traces of the conjugated Pauli matrices, independently of
+    the quaternion lift in curvepulse.su2.
+    """
+    m = u.matrix
+    r = np.empty((3, 3))
+    for a in range(3):
+        conj = m.conj().T @ PAULIS[a] @ m
+        for b in range(3):
+            r[b, a] = 0.5 * np.real(np.trace(PAULIS[b] @ conj))
+    return r
+
+
+def kabsch_align(moving, fixed):
+    """Best rigid alignment of `moving` onto `fixed` (proper rotation + shift).
+
+    Returns (rotation, translation, rms) so that moving @ rotation.T + translation
+    approximates fixed with the returned root-mean-square residual.
+    """
+    moving = np.asarray(moving, dtype=float)
+    fixed = np.asarray(fixed, dtype=float)
+    mc = moving.mean(axis=0)
+    fc = fixed.mean(axis=0)
+    h = (moving - mc).T @ (fixed - fc)
+    u, _, vt = np.linalg.svd(h)
+    sign = np.sign(np.linalg.det(vt.T @ u.T))
+    d = np.diag([1.0, 1.0, sign])
+    rot = vt.T @ d @ u.T
+    shift = fc - rot @ mc
+    aligned = moving @ rot.T + shift
+    rms = float(np.sqrt(np.mean(np.sum((aligned - fixed) ** 2, axis=1))))
+    return rot, shift, rms
 
 
 def helix_curve(a=1.0, b=0.5, span=2.0 * np.pi, n_samples=4096):

@@ -10,10 +10,10 @@ import json
 import numpy as np
 
 import curvepulse as cp
-from curvepulse._numerics import fd1, kabsch_align
+from curvepulse._numerics import fd1
 from curvepulse.cli import main
 
-from conftest import BUILTINS, helix_curve, third_order_vector
+from conftest import BUILTINS, helix_curve, kabsch_align, third_order_vector
 
 
 def _report(num, ok, detail):

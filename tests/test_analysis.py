@@ -3,11 +3,10 @@ import pytest
 
 import curvepulse as cp
 from curvepulse import _accel
-from curvepulse._numerics import kabsch_align
 from curvepulse.cli import main
 from curvepulse.errors import InputError
 
-from conftest import helix_curve
+from conftest import helix_curve, kabsch_align
 
 
 def wrap_angle(x):

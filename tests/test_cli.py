@@ -13,7 +13,7 @@ from curvepulse import cli
 from curvepulse._files import write_csv
 from curvepulse.cli import build_parser, main
 
-from conftest import python_env, stadium_rows
+from conftest import kabsch_align, python_env, stadium_rows
 
 
 def tree_hashes(outdir):
@@ -84,8 +84,6 @@ class TestSynth:
         rc = main(["analyze", "--pulse-file", str(out1 / "pulse.csv"), "--out", str(out2)])
         assert rc == 0
         rec = cp.load_curve(out2 / "curve.csv", n_samples=2048)
-        from curvepulse._numerics import kabsch_align
-
         _, _, rms = kabsch_align(rec.points, curve.points)
         assert rms < 1e-4 * curve.total_length
 
@@ -353,6 +351,35 @@ class TestSweep:
         assert fit["last_delta"] > 1e-8
         assert main(argv + ["--certify", "--out", str(tmp_path / "strict")]) == 3
         assert "not converged at refinement 1" in capsys.readouterr().err
+
+
+class TestArgumentValidation:
+    @pytest.mark.parametrize("command", ["synth", "analyze", "sweep"])
+    @pytest.mark.parametrize("value", ["0", "-2", "abc"])
+    def test_bad_refinement_exits_2(self, tmp_path, synth_out, capsys, command, value):
+        source = {
+            "synth": ["--builtin", "circle", "--samples", "256"],
+            "analyze": ["--pulse-file", str(synth_out / "pulse.csv")],
+            "sweep": ["--pulse-file", str(synth_out / "pulse.csv")],
+        }[command]
+        out = tmp_path / "x"
+        rc = main([command, *source, "--refinement", value, "--out", str(out)])
+        assert rc == 2
+        assert "--refinement" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--target", "axis=1,0,0", "angle=nan"],
+            ["--target", "axis=inf,0,0", "angle=1"],
+            ["--grid", "1e-3:inf:5"],
+        ],
+    )
+    def test_non_finite_sweep_input_exits_2(self, tmp_path, synth_out, capsys, extra):
+        argv = ["sweep", "--pulse-file", str(synth_out / "pulse.csv"), *extra]
+        assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+        assert "finite" in capsys.readouterr().err
 
 
 class TestParser:

@@ -7,7 +7,7 @@ from scipy.interpolate import CubicSpline, PchipInterpolator
 
 import curvepulse as cp
 from curvepulse import curves
-from curvepulse._numerics import _pchip_slopes, fd1, fd2, fd3, kabsch_align, pchip
+from curvepulse._numerics import _pchip_slopes, fd1, fd2, fd3, pchip
 from curvepulse.curves import (
     _nearest_valid,
     _sphere_loop_and_velocity,
@@ -17,7 +17,7 @@ from curvepulse.curves import (
 )
 from curvepulse.errors import InputError
 
-from conftest import helix_curve, stadium_rows
+from conftest import helix_curve, kabsch_align, stadium_rows
 
 HELIX_A, HELIX_B = 1.0, 0.5
 HELIX_KAPPA = HELIX_A / (HELIX_A**2 + HELIX_B**2)  # 0.8

@@ -5,10 +5,11 @@ import pytest
 from scipy.linalg import expm
 
 import curvepulse as cp
-from curvepulse.errors import ConvergenceError, InputError
-from curvepulse.su2 import SIGMA_X, SIGMA_Y, SIGMA_Z, as_matrix, pauli_compose
+from curvepulse.errors import InputError
+from curvepulse.simulator import MAX_REFINEMENT
+from curvepulse.su2 import SIGMA_X, SIGMA_Z
 
-from conftest import third_order_vector
+from conftest import pauli_compose, third_order_vector
 
 
 def square_x_pulse(duration=1.0, angle=np.pi, n_samples=128):
@@ -72,15 +73,47 @@ class TestPropagate:
         assert cert.last_delta < 1e-8
 
     def test_strict_raises_for_unresolvable(self):
-        # absurdly fast drive cannot converge within the refinement cap
+        # absurdly fast drive cannot converge within the refinement cap; the
+        # certificate says so (sweep --certify turns that into exit 3)
         t = np.linspace(0.0, 1.0, 16)
         pulse = cp.PulseWaveform(t, np.full(16, 1e7), np.linspace(0, 40 * np.pi, 16))
-        with pytest.raises(ConvergenceError):
-            cp.propagate(pulse, 0.0, certify=True, strict=True, max_refinement=4)
+        _, cert = cp.propagate(pulse, 0.0, certify=True)
+        assert cert.refinement == MAX_REFINEMENT
+        assert not cert.converged
+        assert cert.last_delta >= 1e-8
+
+    def test_fixed_refinement_certificate_rule(self, builtin_pulses):
+        # a given refinement r returns the r result, certified by its change
+        # at 2r, in propagate and in infidelity_sweep alike
+        pulse = builtin_pulses["clifford_fig1"]
+        grid = cp.default_noise_grid(pulse.duration)
+        sweep = cp.infidelity_sweep(pulse, delta_beta=grid, refinement=2)
+        target = cp.propagate(pulse, 0.0, refinement=2)
+        db = grid[-1]
+        plain = cp.propagate(pulse, db, refinement=2)
+        certified, cert = cp.propagate(pulse, db, refinement=2, certify=True)
+        assert certified == plain
+        assert cert.refinement == sweep.refinement == 2
+        fine = cp.propagate(pulse, db, refinement=4)
+        assert cert.last_delta == cp.gate_distance(plain, fine)
+        assert abs(cp.average_gate_infidelity(certified, target) - sweep.infidelity[-1]) < 1e-13
 
     def test_input_validation(self):
         with pytest.raises(InputError):
             cp.propagate("not a pulse", 0.0)
+
+    def test_refinement_below_one_rejected(self):
+        # every evolution checks its substep count, not only the CLI
+        pulse = square_x_pulse()
+        calls = (
+            lambda: cp.propagate(pulse, 0.0, refinement=0),
+            lambda: cp.propagate(pulse, 0.0, refinement=-2, certify=True),
+            lambda: cp.infidelity_sweep(pulse, refinement=0),
+            lambda: cp.curve_from_pulse(pulse, refinement=0),
+        )
+        for call in calls:
+            with pytest.raises(InputError, match="refinement"):
+                call()
 
 
 class TestInfidelity:
@@ -131,16 +164,28 @@ class TestSweep:
         assert abs(sweep.slope - 2.0) < 0.2
 
     def test_even_in_noise_sign(self):
-        sweep = cp.infidelity_sweep(square_x_pulse(n_samples=256), check_even=True)
-        assert sweep.asymmetry is not None
-        assert sweep.asymmetry < 1e-6
+        # a square pulse's infidelity is even in the noise sign: compare the
+        # three strongest grid points with their mirrors
+        pulse = square_x_pulse(n_samples=256)
+        sweep = cp.infidelity_sweep(pulse)
+        r = sweep.refinement
+        target = cp.propagate(pulse, 0.0, refinement=r)
+        top = np.argsort(sweep.delta_beta)[-3:]
+        mirror = [
+            cp.average_gate_infidelity(cp.propagate(pulse, -db, refinement=r), target)
+            for db in sweep.delta_beta[top]
+        ]
+        scale = sweep.infidelity[top].max()
+        asymmetry = np.max(np.abs(mirror - sweep.infidelity[top])) / scale
+        assert asymmetry < 1e-6
 
     @pytest.mark.parametrize("name", ["clifford_fig1", "const_torsion_gamma"])
     def test_batched_sweep_matches_per_point(self, builtin_pulses, name):
-        # one batched product per refinement gives the same infidelities,
-        # mirror points and self-target as one propagate per point
+        # one batched product per refinement gives the same infidelities and
+        # self-target as one propagate per point, and the same asymmetry
+        # against the mirror points -delta_beta
         pulse = builtin_pulses[name]
-        sweep = cp.infidelity_sweep(pulse, check_even=True)
+        sweep = cp.infidelity_sweep(pulse)
         assert sweep.converged
         assert sweep.last_delta < 1e-8
         r = sweep.refinement
@@ -153,9 +198,10 @@ class TestSweep:
         for db, infid in zip(sweep.delta_beta, sweep.infidelity):
             assert abs(infid - per_point(db)) < 1e-13
         top = np.argsort(sweep.delta_beta)[-3:]
-        scale = sweep.infidelity[top].max()
-        asym = max(abs(per_point(-sweep.delta_beta[i]) - sweep.infidelity[i]) for i in top)
-        assert abs(sweep.asymmetry - asym / scale) * scale < 1e-13
+        mirror = np.array([per_point(-sweep.delta_beta[i]) for i in top])
+        batched = np.max(np.abs(mirror - sweep.infidelity[top]))
+        single = np.max(np.abs(mirror - [per_point(sweep.delta_beta[i]) for i in top]))
+        assert abs(batched - single) < 1e-13
 
     def test_sweep_memory_flat_in_grid_size(self):
         # the batch is reduced in fixed row chunks, so the traced peak does
@@ -233,11 +279,11 @@ class TestMagnus:
         # U0 * exp(-i db A1.sigma) reproduces the noisy propagator to O(db^2)
         pulse = square_x_pulse(n_samples=256)
         mag = cp.magnus_errors(pulse)
-        u0 = as_matrix(cp.propagate(pulse, 0.0, refinement=32))
+        u0 = cp.propagate(pulse, 0.0, refinement=32).matrix
         dists = []
         for db in (0.02, 0.01):
             recon = u0 @ expm(-1j * db * pauli_compose(mag.a1_vector))
-            exact = as_matrix(cp.propagate(pulse, db, refinement=32))
+            exact = cp.propagate(pulse, db, refinement=32).matrix
             dists.append(cp.gate_distance(recon, exact))
         assert dists[0] / dists[1] > 2.5
 
