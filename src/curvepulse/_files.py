@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -14,8 +15,8 @@ import numpy as np
 from .errors import InputError
 
 
-def write_text(path, text):
-    """Write text as UTF-8 over the old bytes of path; return their sha256.
+def _write_chunks(path, chunks):
+    """Write byte chunks over the old bytes of path; return their sha256.
 
     Opening with mode "w" truncates the file first; ext4 then flushes the old
     contents on close and frees their blocks, so rewriting an output
@@ -23,12 +24,19 @@ def write_text(path, text):
     whatever lies past the new end does not.  The digest is of the bytes
     written, so no caller has to read the file back to hash it.
     """
-    data = text.encode("utf-8")
+    digest = hashlib.sha256()
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     with open(fd, "wb") as fh:
-        fh.write(data)
+        for chunk in chunks:
+            digest.update(chunk)
+            fh.write(chunk)
         fh.truncate()
-    return hashlib.sha256(data).hexdigest()
+    return digest.hexdigest()
+
+
+def write_text(path, text):
+    """Write text as UTF-8 over the old bytes of path; return their sha256."""
+    return _write_chunks(path, [text.encode("utf-8")])
 
 
 def write_json(path, payload, indent=None):
@@ -42,13 +50,210 @@ def write_json(path, payload, indent=None):
 def write_csv(path, header, columns):
     """CSV of equal-length columns under a one-line header, values as %.17g.
 
-    The bytes equal np.savetxt's with fmt="%.17g", delimiter="," and
-    comments="", from one % format over the flattened rows instead of one
-    per row.  Returns the sha256 of the bytes written.
+    The bytes are exactly those of np.savetxt with fmt="%.17g",
+    delimiter="," and comments="", that is of ``"%.17g" % v`` for every
+    value.  The values are formatted by _format_g17, a block of rows at a
+    time, and each block is hashed and written as soon as it is formatted.
+    Returns the sha256 of the bytes written.
     """
-    data = np.column_stack(columns)
-    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
-    return write_text(path, header + "\n" + row * data.shape[0] % tuple(data.ravel().tolist()))
+    data = np.column_stack(columns).astype(np.float64, copy=False)
+    rows, ncol = data.shape
+    last = np.tile(np.arange(ncol) == ncol - 1, min(rows, _BLOCK_ROWS))
+
+    def chunks():
+        yield (header + "\n").encode("utf-8")
+        for start in range(0, rows, _BLOCK_ROWS):
+            block = data[start:start + _BLOCK_ROWS].ravel()
+            words = _format_g17(block, last[: block.size])
+            yield words.tobytes().translate(None, b"\0")
+
+    return _write_chunks(path, chunks())
+
+
+# ---------------------------------------------------------------------------
+# "%.17g" % v for a whole array.  A nonzero finite x has 17 significant
+# digits D (10**16 <= D < 10**17) and a decimal exponent E with
+# D * 10**(E - 16) the correct rounding of |x|, so D is the rounding of
+# t = |x| * 10**(16 - E).  t is formed in float64 as p + q: p = fl(|x| * h)
+# and its exact rounding error by Dekker's product (Veltkamp split), plus
+# |x| * l, where h + l is 10**(16 - E) to within 2**-105 relative.  For
+# 10**16 <= t < 10**17 the two roundings in q and the table's own error stay
+# below 2**-47 in absolute terms, so with q = floor(q) + r the rounding of t
+# is certain once r is more than _BOUND = 2**-44 from one half.  A value the
+# bound cannot decide (an exact or near tie), and one outside the table's
+# magnitudes (subnormal, below 1e-290 or from 1e290 up, inf, nan), takes the
+# exact step: Python's own "%.17g" % v, written into the same block.  Within
+# those magnitudes neither the split of |x| nor any partial product of the
+# Dekker product overflows or underflows.
+
+_BLOCK_ROWS = 1024
+_BOUND = 2.0 ** -44
+_X_LO, _X_HI = 1e-290, 1e290
+_E_MIN, _E_MAX = -292, 291  # the exponents the product table covers
+_SPLIT = 134217729.0  # 2**27 + 1
+_WORD = np.dtype("<u8")  # byte 0 of a word is the first character written
+
+
+def _pow10_table():
+    """h, its halves of 26 significant bits each and l, with h + l ~ 10**(16 - E) per E."""
+    hi, lo = [], []
+    for k in range(16 - _E_MIN, 15 - _E_MAX, -1):
+        if k >= 0:
+            n = 10**k
+            h = float(n)
+            hi.append(h)
+            lo.append(float(n - int(h)))
+        else:
+            d = 10**-k
+            h = 1 / d  # int / int rounds correctly
+            a, b = h.as_integer_ratio()
+            hi.append(h)
+            lo.append((b - a * d) / (b * d))
+    hi = np.array(hi)
+    m, e = np.frexp(hi)  # Veltkamp's split of m in [0.5, 1), scaled back
+    c = _SPLIT * m
+    hh = c - (c - m)
+    return hi, np.ldexp(hh, e), np.ldexp(m - hh, e), np.array(lo)
+
+
+def _layout_tables():
+    """Masks and fixed bytes of the text after d0, by (class, nd1, last).
+
+    Class 0-16 is fixed notation with that many digits after d0 before the
+    point, 17 is exponent notation (point after d0) and 18-21 is
+    0.ddd...0.000ddd (E = -1 .. -4, no point among the digits).  nd1 is
+    the number of significant digits after d0 (trailing zeros stripped) and
+    last says whether the separator is a newline.  The digits after d0 are
+    16 bytes; those before the point (A) stay, those after it (B) move one
+    byte right, and the kept text is `length` bytes long.
+    """
+    c, nd1, last = np.ix_(*(np.arange(n, dtype=np.uint8) for n in (22, 17, 2)))
+    pp = np.where(c <= 16, c, np.where(c == 17, 0, 16))
+    length = np.where(c >= 18, nd1, np.where(nd1 > pp, nd1 + 1, pp))
+    pp, length, last = (t[..., None] for t in np.broadcast_arrays(pp, length, last))
+    b = np.arange(16, dtype=np.uint8)
+    a_mask = ((b < pp) & (b < length)) * np.uint8(255)
+    b_mask = ((b >= pp) & (b + 1 < length)) * np.uint8(255)
+    pos = np.arange(24, dtype=np.uint8)
+    sep = ((pos == length) & (c[..., None] != 17)) * np.where(last, 10, 44).astype(np.uint8)
+    point = ((pos == pp) & (pp < length)) * np.uint8(46)
+    return [np.ascontiguousarray(t.reshape(22 * 17 * 2, -1).view(_WORD).T)
+            for t in (a_mask, b_mask, sep | point)]
+
+
+(_HI, _HH, _HL, _LO) = _pow10_table()
+(_A_MASK, _B_MASK, _FIXED) = _layout_tables()
+_E_ALL = np.arange(_E_MIN, _E_MAX + 2)  # after a carry E can reach _E_MAX + 1
+_CLASS = np.select([(_E_ALL >= 0) & (_E_ALL <= 16), (_E_ALL < 0) & (_E_ALL >= -4)],
+                   [_E_ALL, 17 - _E_ALL], 17)
+_LEAD = np.where(_CLASS >= 18, -_E_ALL, 0)  # 0., 0.0, 0.00 or 0.000 before d0
+
+
+def _exponent_table():
+    """e+XX or e-XXX and the separator, right-aligned, by (E, last); 0 for fixed notation."""
+    text = np.zeros((_E_ALL.size, 2, 8), np.uint8)
+    mag = np.abs(_E_ALL)[:, None]
+    text[..., 2] = ord("e")
+    text[..., 3] = np.where(_E_ALL < 0, ord("-"), ord("+"))[:, None]
+    text[..., 4] = np.where(mag >= 100, 48 + mag // 100, 0)  # NUL below 100
+    text[..., 5] = 48 + mag // 10 % 10
+    text[..., 6] = 48 + mag % 10
+    text[..., 7] = [ord(","), ord("\n")]
+    text[_CLASS != 17] = 0
+    return text.view(_WORD).ravel()
+
+
+_EXP = _exponent_table()
+# sign, leading 0.000 and d0, right-aligned, by (sign, lead, d0)
+_PREFIX = np.array([(b"-" * s + (b"0." + b"0" * (lead - 1) if lead else b"") + b"%d" % d).rjust(8, b"\0")
+                    for s in (0, 1) for lead in range(5) for d in range(10)], dtype="S8").view(_WORD)
+_ZEROS = 0x3030303030303030  # eight ASCII "0"
+
+
+def _scaled(ax, exponent):
+    """(A, r): ax * 10**(16 - exponent) is A + r to within 2**-47, 0 <= r < 1.
+
+    A is exact when the product lies in [10**16, 10**17]."""
+    i = exponent - _E_MIN
+    hh, hl = _HH[i], _HL[i]
+    c = _SPLIT * ax
+    xh = c - (c - ax)
+    xl = ax - xh
+    p = ax * _HI[i]
+    q = (((xh * hh - p) + xh * hl + xl * hh) + xl * hl) + ax * _LO[i]
+    qf = np.floor(q)
+    return p.astype(np.int64) + qf.astype(np.int64), q - qf
+
+
+def _exact_g17(v):
+    """The exact step: Python's own %.17g."""
+    return b"%.17g" % v
+
+
+def _format_g17(x, last):
+    """ "%.17g" % v for each v of x, plus "," or (where last) "\n".
+
+    Returns (len(x), 4) little-endian words whose bytes, with every NUL
+    removed, are the text.  Word 0 holds sign, leading "0.000" and d0,
+    right-aligned; words 1-3 the digits after d0 with the point and the
+    separator, and for exponent notation the exponent and separator
+    right-aligned at the end of word 3.
+    """
+    n = x.size
+    ax = np.abs(x)
+    axs = np.fmin(np.fmax(ax, _X_LO), _X_HI)  # nan -> _X_LO
+    exponent = np.floor(np.log10(axs)).astype(np.int64)
+    a, r = _scaled(axs, exponent)
+    d = a + (r > 0.5)
+    off = np.flatnonzero((a < 10**16) | (d > 10**17))  # log10 was one off
+    if off.size:
+        exponent[off] += np.where(a[off] < 10**16, -1, 1)
+        a[off], r[off] = _scaled(axs[off], exponent[off])
+        d[off] = a[off] + (r[off] > 0.5)
+    # undecided, outside the table, or not placed by one redo (libm's log10
+    # is within an ulp, so that last one would need a log10 two off)
+    exact = (np.abs(r - 0.5) <= _BOUND) | (a < 10**16) | (d > 10**17) | (axs != ax)
+    carry = d == 10**17
+    d[carry] = 10**16
+    exponent += carry
+    zero = ax == 0
+    exact &= ~zero
+    d[zero] = 0
+    exponent[zero] = 0
+
+    # the 16 digits after d0 as ASCII in two words, two at a time per lane
+    top = d // 10**8
+    d0 = top // 10**8
+    v = np.empty((n, 2), _WORD)
+    v[:, 0] = top - d0 * 10**8
+    v[:, 1] = d - top * 10**8
+    hi4 = v // 10000
+    v = hi4 | ((v - hi4 * 10000) << 32)  # four digits per 32-bit lane
+    hi2 = ((v * 10486) >> 20) & 0x0000007F0000007F
+    v = hi2 | ((v - hi2 * 100) << 16)  # two per 16-bit lane
+    hi1 = ((v * 103) >> 10) & 0x000F000F000F000F
+    v = hi1 | ((v - hi1 * 10) << 8)  # one per byte, 0-9
+    # significant digits after d0: one past the highest nonzero byte
+    top_bits = (v[:, 1].astype(np.float64) * 2.0**64 + v[:, 0]).view(np.int64) >> 52
+    nd1 = np.maximum((top_bits - 1015) >> 3, 0)
+    v |= _ZEROS
+
+    e = exponent - _E_MIN
+    k = (_CLASS[e] * 17 + nd1) * 2 + last
+    lo, hi = v[:, 0], v[:, 1]
+    b_lo = lo & _B_MASK[0][k]
+    b_hi = hi & _B_MASK[1][k]
+    out = np.empty((n, 4), _WORD)
+    out[:, 0] = _PREFIX[d0 + 10 * _LEAD[e] + 50 * np.signbit(x)]
+    out[:, 1] = (lo & _A_MASK[0][k]) | (b_lo << 8) | _FIXED[0][k]
+    out[:, 2] = (hi & _A_MASK[1][k]) | (b_hi << 8) | (b_lo >> 56) | _FIXED[1][k]
+    out[:, 3] = (b_hi >> 56) | _FIXED[2][k] | _EXP[2 * e + last]
+    slots = out.view(np.uint8).reshape(n, 32)
+    for i in np.flatnonzero(exact).tolist():
+        text = _exact_g17(float(x[i])) + (b"\n" if last[i] else b",")
+        slots[i] = 0
+        slots[i, : len(text)] = np.frombuffer(text, np.uint8)
+    return out
 
 
 class Table(NamedTuple):
@@ -109,14 +314,49 @@ def _headers(spec):
     return required, required + tuple(optional.rstrip("]").split(","))
 
 
-def _load_csv_body(text, stream):
-    """np.loadtxt of the rows left in stream, or None if it cannot read them.
+# a line as io.StringIO(text, newline="") yields it: it ends at \n, \r\n or \r
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+_NOT_NEWLINE = re.compile(rb"[^\r\n]")
 
-    Comment lines are not skipped, so a "#" line fails here and parse_rows
-    rejects it with its line number.
+
+def _lines(text):
+    """The lines of text, one str at a time.
+
+    A StringIO would hold a second copy of the text at four bytes a
+    character; this holds one line.
     """
-    if len(text.rstrip("\r\n")) <= stream.tell():
+    return (m.group() for m in _LINE.finditer(text))
+
+
+def _csv_header(text):
+    """The first CSV record of text, and the offset just past its last line.
+
+    csv.reader pulls lines one at a time, so a quoted field may still span
+    lines, and it stops at the end of the record.
+    """
+    end = 0
+
+    def lines():
+        nonlocal end
+        for m in _LINE.finditer(text):
+            end = m.end()
+            yield m.group()
+
+    return next(csv.reader(lines()), None), end
+
+
+def _load_csv_body(raw, start):
+    """np.loadtxt of the bytes of raw from offset start, or None if it cannot read them.
+
+    The stream shares raw's buffer, so the text is not copied.  Comment
+    lines are not skipped, so a "#" line fails here and parse_rows rejects
+    it with its line number.  Lines split at \n only, so a lone \r (and
+    any non-ASCII byte) fails here too, and parse_rows reads that file.
+    """
+    if _NOT_NEWLINE.search(raw, start) is None:
         return None  # header only: loadtxt would warn, parse_rows says why
+    stream = io.BytesIO(raw)
+    stream.seek(start)
     try:
         return np.loadtxt(stream, delimiter=",", comments=None, ndmin=2)
     except ValueError:
@@ -126,10 +366,9 @@ def _load_csv_body(text, stream):
 def _numbered_csv_rows(text):
     """(line number, cells) of every non-empty CSV row after the header.
 
-    A generator, so its pass over the text, and the StringIO that pass
-    needs (four bytes a character), is set up only if parse_rows runs.
+    A generator, so its pass over the text is made only if parse_rows runs.
     """
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(_lines(text))
     next(reader)
     for lineno, row in enumerate(reader, start=2):
         if row:
@@ -171,14 +410,13 @@ def read_table(path, header_spec, min_rows, json_rows):
         )
     else:
         payload = None
-        stream = io.StringIO(text, newline="")
-        header = next(csv.reader(stream), None)
+        header, end = _csv_header(text)
         if header is None:
             raise InputError(f"{where}: empty file")
         header = tuple(h.strip() for h in header)
         if header not in _headers(header_spec):
             raise InputError(f"{where}: expected header {header_spec}")
-        data = _load_csv_body(text, stream)
+        data = _load_csv_body(raw, len(text[:end].encode("utf-8")))
         numbered = _numbered_csv_rows(text)
     if data is None or not _accepted(data, len(header), min_rows):
         data = parse_rows(numbered, where, len(header), min_rows)

@@ -21,7 +21,13 @@ from .curves import (
     save_curve_csv,
 )
 from .errors import ConvergenceError, CurvePulseError, InputError
-from .simulator import average_gate_infidelity, infidelity_sweep, propagate, square_pulse
+from .simulator import (
+    MAX_REFINEMENT,
+    average_gate_infidelity,
+    infidelity_sweep,
+    propagate,
+    square_pulse,
+)
 from .su2 import axis_angle_unitary, gate_distance, unitary_axis_angle
 from .synthesis import (
     pulses_from_curve,
@@ -88,8 +94,10 @@ def _load_pulse(args):
 def _refinement_arg(value):
     if value == "auto":
         return None
-    if not value.isdecimal() or int(value) < 1:
-        raise InputError(f"--refinement expects 'auto' or an integer >= 1, got {value!r}")
+    if not value.isdecimal() or not 1 <= int(value) <= MAX_REFINEMENT:
+        raise InputError(
+            f"--refinement expects 'auto' or an integer from 1 to {MAX_REFINEMENT}, got {value!r}"
+        )
     return int(value)
 
 

@@ -25,6 +25,9 @@ _LENGTH_RTOL = 1e-9
 _CURVATURE_FLOOR_REL = 1e-8
 
 SQRT2 = np.sqrt(2.0)
+# random_fourier_loop: Fourier modes 2..5 on the circle, coefficient scale
+_LOOP_MODES = 4
+_LOOP_PERTURBATION = 0.3
 CLIFFORD_Q = 1.6054  # phase parameter of the built-in Clifford-gate curve
 
 
@@ -454,16 +457,16 @@ def builtin_curve(name, n_samples=DEFAULT_SAMPLES, **params):
     raise InputError(f"unknown builtin curve {name!r}; choose from {BUILTIN_CURVES}")
 
 
-def random_fourier_loop(seed, n_modes=4, perturbation=0.3, n_samples=DEFAULT_SAMPLES):
+def random_fourier_loop(seed, n_samples=DEFAULT_SAMPLES):
     """Smooth random closed curve: a circle plus decaying Fourier modes.
 
     The base circle keeps the curvature bounded away from zero; coefficients
     are pinned by the seed so test curves are reproducible.
     """
     rng = np.random.default_rng(seed)
-    ks = np.arange(2, 2 + n_modes)
-    a = rng.normal(0.0, perturbation, (n_modes, 3)) / ks[:, None] ** 3
-    b = rng.normal(0.0, perturbation, (n_modes, 3)) / ks[:, None] ** 3
+    ks = np.arange(2, 2 + _LOOP_MODES)
+    a = rng.normal(0.0, _LOOP_PERTURBATION, (_LOOP_MODES, 3)) / ks[:, None] ** 3
+    b = rng.normal(0.0, _LOOP_PERTURBATION, (_LOOP_MODES, 3)) / ks[:, None] ** 3
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     if np.linalg.det(q) < 0:
         q[:, 0] *= -1

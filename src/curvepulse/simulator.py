@@ -27,6 +27,8 @@ MAGNUS_SUBSTEP_CAP = 8192
 _CONVERGENCE_TOL = 1e-8
 # sweep infidelities at or below this sit in the double-precision noise
 INFIDELITY_FLOOR = 1e-13
+# the default sweep grid spans delta_beta * duration from _GRID_LO to _GRID_HI
+_GRID_LO, _GRID_HI = 1e-3, 10 ** (-1.5)
 
 
 @dataclass(frozen=True)
@@ -151,9 +153,9 @@ def average_gate_infidelity(actual, target):
     return float(_infidelity(_distance_sq(_su2_pair(actual), _su2_pair(target))))
 
 
-def default_noise_grid(duration, n_points=12, lo=1e-3, hi=10 ** (-1.5)):
-    """Log-spaced delta_beta grid with delta_beta * duration in [lo, hi]."""
-    return np.logspace(np.log10(lo), np.log10(hi), n_points) / duration
+def default_noise_grid(duration, n_points=12):
+    """Log-spaced delta_beta grid with delta_beta * duration in [1e-3, 10**-1.5]."""
+    return np.logspace(np.log10(_GRID_LO), np.log10(_GRID_HI), n_points) / duration
 
 
 def infidelity_sweep(pulse, target=None, delta_beta=None, refinement=None):
@@ -290,11 +292,11 @@ def magnus_errors(pulse, refinement=None, nested=False):
     return replace(mag, route_disagreement=disagreement)
 
 
-def square_pulse(duration, angle=np.pi, phase=0.0, n_samples=256):
-    """Constant-envelope pulse of the given duration and total rotation."""
+def square_pulse(duration, angle=np.pi, n_samples=256):
+    """Constant-envelope pulse of the given duration and total rotation, at phase 0."""
     if duration <= 0:
         raise InputError("duration must be positive")
     t = np.linspace(0.0, duration, n_samples)
     omega = np.full(n_samples, angle / duration)
-    phi = np.full(n_samples, float(phase))
+    phi = np.zeros(n_samples)
     return PulseWaveform(t, omega, phi, metadata={"shape": "square", "angle": float(angle)})

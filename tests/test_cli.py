@@ -355,7 +355,7 @@ class TestSweep:
 
 class TestArgumentValidation:
     @pytest.mark.parametrize("command", ["synth", "analyze", "sweep"])
-    @pytest.mark.parametrize("value", ["0", "-2", "abc"])
+    @pytest.mark.parametrize("value", ["0", "-2", "abc", "65"])
     def test_bad_refinement_exits_2(self, tmp_path, synth_out, capsys, command, value):
         source = {
             "synth": ["--builtin", "circle", "--samples", "256"],
@@ -367,6 +367,21 @@ class TestArgumentValidation:
         assert rc == 2
         assert "--refinement" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "analyze", "sweep"])
+    def test_largest_refinement_accepted(self, tmp_path, command):
+        # MAX_REFINEMENT (64) is the largest value --refinement takes
+        pulse_file = tmp_path / "square.csv"
+        cp.save_pulse_csv(cp.square_pulse(1.0, n_samples=64), pulse_file)
+        source = {
+            "synth": ["--builtin", "circle", "--samples", "256"],
+            "analyze": ["--pulse-file", str(pulse_file)],
+            "sweep": ["--pulse-file", str(pulse_file)],
+        }[command]
+        out = tmp_path / "x"
+        assert main([command, *source, "--refinement", "64", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["refinement"] == "64"
 
     @pytest.mark.parametrize(
         "extra",

@@ -1,7 +1,11 @@
-"""The shared curve/pulse table reader: bulk path, row parser and messages."""
+"""The shared curve/pulse table reader (bulk path, row parser and messages)
+and the %.17g table writer."""
 
 import csv
 import hashlib
+import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -219,3 +223,129 @@ class TestDigest:
         cp.save_pulse_json(builtin_pulses["circle"], path)
         *_, meta = read_pulse_file(path)
         assert meta["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _percent_g(values, ncol):
+    """The oracle: "%.17g" % v for every value, ncol to a row."""
+    row = ",".join(["%.17g"] * ncol) + "\n"
+    return (row * (values.size // ncol) % tuple(values.tolist())).encode()
+
+
+def _written(tmp_path, values, ncol):
+    """The bytes write_csv gives for values, ncol to a row, without the header."""
+    path = tmp_path / "values.csv"
+    _files.write_csv(path, "h", [values.reshape(-1, ncol)])
+    return path.read_bytes()[len(b"h\n"):]
+
+
+def _is_tie(v):
+    """Whether v is an exact tie at the 17th significant digit: 18 significant digits ending in 5."""
+    digits = Decimal(v).as_tuple().digits
+    return len(digits) == 18 and digits[-1] == 5
+
+
+def _ties(rng, n):
+    """n exact ties.
+
+    No float from 1e17 up is one (the power of two dividing such an integer
+    is below its ulp), so they are 16-digit integers plus a quarter, and
+    2**-25 and 3 * 2**-25.
+    """
+    whole = rng.integers(10**15, 225 * 10**13, n - 2).astype(np.float64)
+    ties = np.concatenate([whole + rng.choice([0.25, 0.75], n - 2), [2.0**-25, 3 * 2.0**-25]])
+    ties *= rng.choice([-1.0, 1.0], n)
+    assert all(map(_is_tie, ties.tolist()))
+    return ties
+
+
+class TestCsvFormatter:
+    """write_csv's vectorized %.17g gives the bytes of one % format per value."""
+
+    def test_random_bit_patterns(self, tmp_path):
+        rng = np.random.default_rng(20)
+        for ncol in (4, 3, 2, 1, 4):  # 5 x 2**18 patterns, the finite ones
+            v = rng.integers(0, 2**64, 2**18, dtype=np.uint64).view(np.float64)
+            v = v[np.isfinite(v)]
+            v = v[: v.size // ncol * ncol]
+            assert _written(tmp_path, v, ncol) == _percent_g(v, ncol)
+
+    def test_log_uniform_magnitudes(self, tmp_path):
+        rng = np.random.default_rng(21)
+        v = rng.choice([-1.0, 1.0], 2**18) * 10.0 ** rng.uniform(-320.0, 308.25, 2**18)
+        assert _written(tmp_path, v, 4) == _percent_g(v, 4)
+
+    def test_edge_values(self, tmp_path):
+        edges = [
+            0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+            1e-5, 9.9999999999999999e-5, 1e-4, 1e16, 1e17, 99999999999999990.0,
+            1e-290, 1e290, 0.1, 0.5, 1.0, 123.0, 1e22, 1e23,
+        ]
+        # every power of ten a double holds, and the doubles either side
+        powers = [float(f"1e{e}") for e in range(-323, 309)]
+        v = np.array(edges + powers)
+        with np.errstate(over="ignore"):  # above the largest double is inf
+            v = np.concatenate([v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf)])
+        v = np.concatenate([v, -v, _ties(np.random.default_rng(22), 64), [np.nan]])
+        assert _written(tmp_path, v, 1) == _percent_g(v, 1)
+        path = tmp_path / "empty.csv"
+        _files.write_csv(path, "t,x", [np.empty(0), np.empty(0)])
+        assert path.read_bytes() == b"t,x\n"
+
+    def test_scaled_product_error_is_inside_the_bound(self):
+        # A + r against |x| * 10**(16 - E) in exact rational arithmetic, where
+        # that lies in [10**16, 10**17); the decision bound leaves 8x margin
+        rng = np.random.default_rng(25)
+        x = 10.0 ** rng.uniform(-290.0, 290.0, 20000)
+        exponent = np.floor(np.log10(x)).astype(np.int64)
+        a, r = _files._scaled(x, exponent)
+        keep = (a >= 10**16) & (a < 10**17)
+        assert keep.mean() > 0.99
+        worst = max(
+            abs(ai + Fraction(ri) - Fraction(xi) * Fraction(10) ** (16 - ei))
+            for xi, ei, ai, ri in zip(
+                x[keep].tolist(), exponent[keep].tolist(), a[keep].tolist(), r[keep].tolist()
+            )
+        )
+        assert worst < 2.0**-47 <= _files._BOUND / 8
+
+    def test_undecided_values_take_the_exact_step(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(23)
+        ties = _ties(rng, 64)
+        outside = np.array(
+            [5e-324, -2.5e-310, 1e-291, 1.7976931348623157e308, -3e290, np.inf, -np.inf, np.nan]
+        )
+        ordinary = rng.normal(size=1000) * 10.0 ** rng.integers(-280, 280, 1000)
+        ordinary = ordinary[[not _is_tie(v) for v in ordinary.tolist()]]  # a few are
+        ordinary = ordinary[: ordinary.size // 2 * 2]
+        values = rng.permutation(np.concatenate([ties, outside, ordinary, [0.0, -0.0]]))
+        seen = []
+        exact = _files._exact_g17
+
+        def recording(v):
+            seen.append(v)
+            return exact(v)
+
+        monkeypatch.setattr(_files, "_exact_g17", recording)
+        assert _written(tmp_path, values, 2) == _percent_g(values, 2)
+        assert sorted(map(repr, seen)) == sorted(map(repr, np.concatenate([ties, outside]).tolist()))
+
+    def test_allocates_less_than_one_format_call(self, tmp_path):
+        # the writer this one replaced: one % over a tuple of every value
+        rng = np.random.default_rng(24)
+        cols = [np.linspace(0.0, 1.0, 16384), rng.normal(size=(16384, 3))]
+        data = np.column_stack(cols)
+        text = "t,a,b,c\n" + "%.17g,%.17g,%.17g,%.17g\n" * 16384
+
+        def peak(write):
+            tracemalloc.start()
+            try:
+                write()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_format = peak(lambda: _files.write_text(
+            tmp_path / "old.csv", text % tuple(data.ravel().tolist())))
+        blocked = peak(lambda: _files.write_csv(tmp_path / "new.csv", "t,a,b,c", cols))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert blocked < 0.6 * one_format  # about 1.7 MiB against 4.3 MiB
