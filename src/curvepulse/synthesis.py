@@ -294,11 +294,10 @@ def target_gate_from_curve(curve, frenet=None, phi0=None):
     else:
         flags.append("degenerate_final_tangent")
         if frenet.flagged[-1]:
-            phi_end = 0.0
+            # the normal was carried from the nearest valid sample
             flags.append("degenerate_final_normal")
-        else:
-            n_end = rot @ frenet.normal[-1]
-            phi_end = float(np.arctan2(n_end[0], -n_end[1]))
+        n_end = rot @ frenet.normal[-1]
+        phi_end = float(np.arctan2(n_end[0], -n_end[1]))
 
     phi_track, _ = drive_phase_track(frenet, phi0_val)
     total_torsion = float(phi_track[-1] - phi0_val)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.optimize import brentq
 
 import curvepulse as cp
 from curvepulse import curves
@@ -41,10 +42,14 @@ class TestStencils:
 
 
 def _full_grid_reparameterize(sampler, span, n_samples, rel_tol=1e-9):
-    """Reference: sample every dense level whole, invert with scipy's PCHIP."""
+    """Reference: sample every dense level whole, invert with scipy's PCHIP.
+
+    The last level's chords a, b are scaled per panel to the Richardson
+    length (4 (a + b) - C) / 3, C the previous level's chord over both.
+    """
     lo, hi = span
-    m = max(8 * n_samples, 32768)
-    prev_len = prev_refined = None
+    m = max(2 * n_samples, 8192)
+    prev_seg = prev_len = prev_refined = None
     while True:
         lam = np.linspace(lo, hi, m + 1)
         seg = np.linalg.norm(np.diff(sampler(lam), axis=0), axis=1)
@@ -58,11 +63,13 @@ def _full_grid_reparameterize(sampler, span, n_samples, rel_tol=1e-9):
             ):
                 break
             prev_refined = refined
-        prev_len = total
+        prev_seg, prev_len = seg, total
         m *= 2
-    s_dense = np.concatenate([[0.0], np.cumsum(seg)]) * (refined / total)
-    t = np.linspace(0.0, refined, n_samples)
-    out = sampler(PchipInterpolator(s_dense, lam)(np.clip(t, 0.0, s_dense[-1])))
+    a, b = seg[0::2], seg[1::2]
+    scale = (4.0 * (a + b) - prev_seg) / 3.0 / (a + b)
+    s_dense = np.concatenate([[0.0], np.cumsum(np.column_stack([a * scale, b * scale]).ravel())])
+    t = np.linspace(0.0, s_dense[-1], n_samples)
+    out = sampler(PchipInterpolator(s_dense, lam)(t))
     return t, out - out[0]
 
 
@@ -141,10 +148,54 @@ class TestReparameterize:
         assert err < 1e-6
         assert abs(c.total_length - want) < 1e-7
 
+    @pytest.mark.parametrize("name", curves.BUILTIN_CURVES)
+    def test_points_sit_at_their_arc_length(self, name, monkeypatch):
+        # oracle independent of the dense grids: adaptive quadrature of
+        # |r'(lambda)| and a root find for the lambda at each output time
+        seen = {}
+        inner = curves.reparameterize_by_arclength
+
+        def recording(sampler, span, *args, **kwargs):
+            def recorded(lam):
+                seen["lam"] = lam.copy()  # the last call samples the outputs
+                return sampler(lam)
+
+            seen["sampler"], seen["span"] = sampler, span
+            return inner(recorded, span, *args, **kwargs)
+
+        monkeypatch.setattr(curves, "reparameterize_by_arclength", recording)
+        n = 4096
+        curve = cp.builtin_curve(name, n_samples=n)
+        sampler, (lo, hi) = seen["sampler"], seen["span"]
+        if name == "const_torsion_gamma":
+            velocity = curves._gamma_velocity
+        else:
+            def velocity(lam):  # complex step
+                return np.imag(sampler(lam + 1e-30j)) / 1e-30
+
+        def speed(lam):
+            return float(np.linalg.norm(velocity(np.array([lam]))[0]))
+
+        worst = 0.0
+        for k in np.linspace(1, n - 2, 15).astype(int):
+            lk = seen["lam"][k]
+            sk = quad(speed, lo, lk, limit=200, epsabs=1e-15, epsrel=1e-13)[0]
+            width = 1e-6 * (hi - lo)
+            # midpoint rule across the sub-micro step from lk: O(width^3)
+            true_lam = brentq(
+                lambda x: sk + speed(0.5 * (lk + x)) * (x - lk) - curve.t[k],
+                lk - width,
+                lk + width,
+                xtol=1e-17,
+            )
+            worst = max(worst, abs(lk - true_lam) * speed(lk))
+        assert worst < 5e-12 * curve.total_length
+
     def test_sampler_calls_do_not_grow(self, monkeypatch, tmp_path):
-        # dense levels plus the final resampling call, at 4096 samples; the
-        # two sphere loops stop one level early, once successive Richardson
-        # totals agree
+        # dense levels plus the final resampling call, at 4096 samples: the
+        # 8192-interval level once, each doubling only its new midpoints,
+        # until successive Richardson totals agree at 32768 intervals
+        n = 4096
         calls = []
         inner = curves.reparameterize_by_arclength
 
@@ -170,10 +221,8 @@ class TestReparameterize:
             calls.clear()
             build()
             assert len(calls) <= ceiling, name
-            if name == "circle":
-                # nested grids: the 32768-interval level once, each doubling
-                # only its new midpoints, then the output samples
-                assert sum(calls) <= 4 * 32768 + 1 + 4096
+            assert calls[-1] == n, name
+            assert sum(calls[:-1]) <= 8 * n + 1, name
 
     def test_rejects_zero_length(self):
         with pytest.raises(InputError):

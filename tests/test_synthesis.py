@@ -7,7 +7,7 @@ from curvepulse.errors import InputError, NoSolutionError
 from curvepulse.synthesis import gate_from_frame
 from curvepulse.su2 import angles_from_unitary
 
-from conftest import helix_curve
+from conftest import helix_curve, stadium_rows
 
 CLIFFORD_TARGET = cp.axis_angle_unitary(np.array([-1.0, 1.0, 1.0]), 2 * np.pi / 3)
 
@@ -92,6 +92,20 @@ class TestTargetGate:
             gate = cp.target_gate_from_curve(builtin_curves[name], builtin_frenet[name])
             other = gate_from_frame(builtin_curves[name], builtin_frenet[name])
             assert cp.gate_distance(gate.unitary, other) < 1e-5, name
+
+    @pytest.mark.parametrize("shape", [(1.0, 1.0, 513), (3.0, 0.5, 2049)])
+    def test_pole_tangent_end_uses_carried_normal(self, tmp_path, shape):
+        # a stadium ends on a straight run: the final tangent is at the pole
+        # and the final sample has no normal of its own, so phi_end must come
+        # from the normal carried from the nearest curved sample
+        cp.save_curve_csv(stadium_rows(*shape), tmp_path / "stadium.csv")
+        for n in (2048, 4096, 6000, 8192):
+            curve = cp.load_curve(tmp_path / "stadium.csv", n_samples=n)
+            f = cp.frenet_data(curve)
+            gate = cp.target_gate_from_curve(curve, f)
+            assert f.flagged[-1] and "degenerate_final_normal" in gate.flags, n
+            u = cp.propagate(cp.pulses_from_curve(f), 0.0)
+            assert cp.gate_distance(gate.unitary, u) < 1e-6, n
 
     def test_open_curve_flagged(self):
         f = cp.frenet_data(helix_curve())
