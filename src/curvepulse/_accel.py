@@ -6,25 +6,19 @@ node-sampled Pauli coefficients (``_magnus4_factors``).  ``su2_product``
 forms only the final product, for one Hamiltonian or a batch of them: it
 reduces cache-sized blocks of steps pairwise and chains the blocks in
 order.  ``su2_trajectory`` forms every prefix by a blocked NumPy scan.
-The frame transport is a single vectorized NumPy kernel.  None of these
-has a numba twin.  The nested Magnus sum is an O(N^2) test
-oracle (``simulator.magnus_errors`` runs it only when asked with
-nested=True); it is the one numba-jitted loop, with a pure-NumPy fallback
-that the environment variable CURVEPULSE_NO_NUMBA=1 (checked at import
-time) forces.
+The frame transport is a single vectorized NumPy kernel.  The nested
+Magnus sum is an O(N^2) test oracle (``simulator.magnus_errors`` runs it
+only when asked with nested=True), vectorized per row in NumPy.  Every
+kernel has this one implementation.
 
 State convention: a special-unitary 2x2 matrix is carried as the complex
 pair (u1, u2) with matrix [[u1, -conj(u2)], [u2, conj(u1)]].  One step
 with effective Pauli vector heff is the exact exponential exp(-i heff.sigma).
 """
 
-import os
-
 import numpy as np
 
 __all__ = [
-    "HAVE_NUMBA",
-    "USE_NUMBA",
     "su2_product",
     "su2_trajectory",
     "magnus_nested_r2",
@@ -35,67 +29,8 @@ __all__ = [
 # working set is about 72 B per factor, so about 2.3 MiB
 _BLOCK_FACTORS = 1 << 15
 
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag instead
-    numba = None
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and os.environ.get("CURVEPULSE_NO_NUMBA", "").lower() not in (
-    "1",
-    "true",
-    "yes",
-)
-
-
-def _magnus_nested_loop(vx, vy, vz, dt):
-    # Literal O(N^2) nested trapezoid of the commutator double integral,
-    # reported as the real vector R2 = int r x rdot dt.
-    n = vx.shape[0]
-    r2x = 0.0
-    r2y = 0.0
-    r2z = 0.0
-    for i in range(1, n):
-        ax = 0.5 * vx[0]
-        ay = 0.5 * vy[0]
-        az = 0.5 * vz[0]
-        for j in range(1, i):
-            ax += vx[j]
-            ay += vy[j]
-            az += vz[j]
-        ax = (ax + 0.5 * vx[i]) * dt
-        ay = (ay + 0.5 * vy[i]) * dt
-        az = (az + 0.5 * vz[i]) * dt
-        wi = dt
-        if i == n - 1:
-            wi = 0.5 * dt
-        r2x += wi * (ay * vz[i] - az * vy[i])
-        r2y += wi * (az * vx[i] - ax * vz[i])
-        r2z += wi * (ax * vy[i] - ay * vx[i])
-    return r2x, r2y, r2z
-
-
-def _magnus_nested_numpy(vx, vy, vz, dt):
-    # Same O(N^2) nested sum, with the inner trapezoid vectorized per row.
-    v = np.stack([vx, vy, vz], axis=1)
-    n = v.shape[0]
-    r2 = np.zeros(3)
-    for i in range(1, n):
-        w_in = np.full(i + 1, dt)
-        w_in[0] = 0.5 * dt
-        w_in[-1] = 0.5 * dt
-        inner = w_in @ v[: i + 1]
-        wi = dt if i < n - 1 else 0.5 * dt
-        r2 += wi * np.cross(inner, v[i])
-    return r2[0], r2[1], r2[2]
-
-
-if HAVE_NUMBA:
-    _magnus_nested_nb = numba.njit(cache=True)(_magnus_nested_loop)
-else:  # pragma: no cover
-    _magnus_nested_nb = None
+# always False: kept only for perfbench/run.py environment(), which records them
+HAVE_NUMBA = USE_NUMBA = False
 
 
 def _prep(*arrays):
@@ -220,12 +155,24 @@ def su2_trajectory(hx, hy, hz, dt):
     return u1 / norm, u2 / norm
 
 
+# kept in this module under this name because perfbench/tracer.py wraps it here
 def magnus_nested_r2(vx, vy, vz, dt):
-    """Nested-trapezoid second-order error vector (O(N^2) route)."""
-    vx, vy, vz = _prep(vx, vy, vz)
-    if USE_NUMBA:
-        return np.array(_magnus_nested_nb(vx, vy, vz, float(dt)))
-    return np.array(_magnus_nested_numpy(vx, vy, vz, float(dt)))
+    """Nested-trapezoid second-order error vector R2 = int r x rdot dt.
+
+    O(N^2): every node's inner trapezoid is formed afresh, one NumPy row each.
+    """
+    v = np.stack(_prep(vx, vy, vz), axis=1)
+    dt = float(dt)
+    n = v.shape[0]
+    r2 = np.zeros(3)
+    for i in range(1, n):
+        w_in = np.full(i + 1, dt)
+        w_in[0] = 0.5 * dt
+        w_in[-1] = 0.5 * dt
+        inner = w_in @ v[: i + 1]
+        wi = dt if i < n - 1 else 0.5 * dt
+        r2 += wi * np.cross(inner, v[i])
+    return r2
 
 
 def _rowdot(u, v):

@@ -166,6 +166,15 @@ def robustness_report(pulse, refinement=None):
     )
 
 
+def _polar_waveform(t, wx, wy, metadata):
+    # envelope and carried drive phase of Cartesian drive samples; the phase
+    # is held across samples whose envelope is below 1e-12 of its peak
+    omega = np.hypot(wx, wy)
+    ok = omega > 1e-12 * max(float(omega.max()), 1e-300)
+    phi = _carried_unwrap(np.arctan2(wy, wx), ok, seed=None)
+    return PulseWaveform(t, omega, phi, metadata=metadata)
+
+
 def import_external_pulse(path):
     """Load a pulse file, validate it, and normalize it for analysis.
 
@@ -209,11 +218,7 @@ def import_external_pulse(path):
         phi = psi - lam
         return PulseWaveform(t, mag, phi, metadata=meta)
 
-    omega = np.hypot(wx, wy)
-    ok = omega > 1e-12 * max(float(omega.max()), 1e-300)
-    raw = np.arctan2(wy, wx)
-    phi = _carried_unwrap(raw, ok, seed=None)
-    return PulseWaveform(t, omega, phi, metadata=meta)
+    return _polar_waveform(t, wx, wy, meta)
 
 
 def synthetic_smooth_pulse(seed, duration=6.0, n_samples=2048, n_modes=4, scale=1.2):
@@ -234,9 +239,4 @@ def synthetic_smooth_pulse(seed, duration=6.0, n_samples=2048, n_modes=4, scale=
         wy += ay * np.sin(np.pi * k * t / duration) + by * np.cos(np.pi * k * t / duration)
     wx *= window
     wy *= window
-    omega = np.hypot(wx, wy)
-    ok = omega > 1e-12 * max(float(omega.max()), 1e-300)
-    phi = _carried_unwrap(np.arctan2(wy, wx), ok, seed=None)
-    return PulseWaveform(
-        t, omega, phi, metadata={"synthetic": True, "seed": int(seed)}
-    )
+    return _polar_waveform(t, wx, wy, {"synthetic": True, "seed": int(seed)})

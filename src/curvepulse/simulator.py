@@ -8,8 +8,8 @@ final product (the sweep for all its noise values in one batch), and the
 noise-free interaction-frame trajectory forms every prefix, so the
 quadratures, not the stepping, limit the accuracy.  That one trajectory
 gives the space curve and both Magnus integrals by linear quadratures; the
-O(N^2) nested quadrature runs only as an opt-in oracle
-(``magnus_errors(..., nested=True)``).
+O(N^2) nested quadrature (``_accel.magnus_nested_r2``, one NumPy kernel)
+runs only as an opt-in test oracle (``magnus_errors(..., nested=True)``).
 """
 
 from dataclasses import dataclass, replace
@@ -137,9 +137,12 @@ def propagate(pulse, delta_beta=0.0, refinement=None, certify=False):
     """
     if not isinstance(pulse, PulseWaveform):
         raise InputError("propagate expects a PulseWaveform")
+    delta_beta = float(delta_beta)
+    if not np.isfinite(delta_beta):
+        raise InputError(f"delta_beta must be finite, got {delta_beta}")
     if refinement is not None and not certify:
-        return Unitary2(*_evolve(pulse, float(delta_beta), int(refinement)))
-    (u1, u2), cert = _refined(pulse, float(delta_beta), refinement)
+        return Unitary2(*_evolve(pulse, delta_beta, int(refinement)))
+    (u1, u2), cert = _refined(pulse, delta_beta, refinement)
     u = Unitary2(u1, u2)
     return (u, cert) if certify else u
 
@@ -177,6 +180,10 @@ def infidelity_sweep(pulse, target=None, delta_beta=None, refinement=None):
     if delta_beta is None:
         delta_beta = default_noise_grid(pulse.duration)
     delta_beta = np.asarray(delta_beta, dtype=float)
+    if delta_beta.size == 0:
+        raise InputError("delta_beta grid is empty")
+    if not np.all(np.isfinite(delta_beta)):
+        raise InputError("delta_beta grid must be finite")
     if np.any(delta_beta <= 0):
         raise InputError("delta_beta grid must be positive")
     if delta_beta.size >= 2:
@@ -276,6 +283,7 @@ def magnus_errors(pulse, refinement=None, nested=False):
     reports its disagreement; route_disagreement is None otherwise.
     nested="auto" is accepted as a synonym for False.
     """
+    # "auto" is kept only for perfbench/stages.py, which passes it
     if not (isinstance(nested, bool) or nested == "auto"):
         raise InputError(f"nested must be True or False, got {nested!r}")
     _, _, v, positions, dt, _ = _interaction_curve(pulse, refinement)

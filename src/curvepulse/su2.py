@@ -149,10 +149,12 @@ def unitary_axis_angle(u):
 
 
 def unitary_from_rotation(r):
-    """One of the two SU(2) preimages of a rotation matrix (global sign free)."""
+    """One of the two SU(2) preimages of a proper rotation (global sign free)."""
     r = np.asarray(r, dtype=float)
     if r.shape != (3, 3) or np.max(np.abs(r @ r.T - np.eye(3))) > 1e-6:
         raise InputError("not an orthogonal 3x3 matrix")
+    if np.linalg.det(r) < 0:
+        raise InputError("not a rotation: the matrix has determinant -1")
     # quaternion extraction for the adjoint convention used above
     q = np.empty(4)
     tr = np.trace(r)

@@ -90,6 +90,36 @@ def helix_curve(a=1.0, b=0.5, span=2.0 * np.pi, n_samples=4096):
     return cp.reparameterize_by_arclength(sampler, (0.0, span), n_samples, source_tag="helix")
 
 
+def magnus_nested_loop(vx, vy, vz, dt):
+    """Literal O(N^2) nested trapezoid of the commutator double integral.
+
+    Reported as the real vector R2 = int r x rdot dt; the reference for the
+    vectorized ``_accel.magnus_nested_r2``.
+    """
+    n = vx.shape[0]
+    r2x = 0.0
+    r2y = 0.0
+    r2z = 0.0
+    for i in range(1, n):
+        ax = 0.5 * vx[0]
+        ay = 0.5 * vy[0]
+        az = 0.5 * vz[0]
+        for j in range(1, i):
+            ax += vx[j]
+            ay += vy[j]
+            az += vz[j]
+        ax = (ax + 0.5 * vx[i]) * dt
+        ay = (ay + 0.5 * vy[i]) * dt
+        az = (az + 0.5 * vz[i]) * dt
+        wi = dt
+        if i == n - 1:
+            wi = 0.5 * dt
+        r2x += wi * (ay * vz[i] - az * vy[i])
+        r2y += wi * (az * vx[i] - ax * vz[i])
+        r2z += wi * (ax * vy[i] - ay * vx[i])
+    return r2x, r2y, r2z
+
+
 def third_order_vector(curve):
     """Geometric oracle for the third error integral A3 of a closed curve.
 

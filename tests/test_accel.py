@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -10,7 +6,7 @@ from curvepulse import _accel
 from curvepulse._numerics import fd2
 from curvepulse.synthesis import _first_valid_normal
 
-from conftest import python_env, stadium_rows
+from conftest import magnus_nested_loop, stadium_rows
 
 
 def _transport_reference(points, tangent, rddot, m1):
@@ -178,22 +174,15 @@ class TestPathEquality:
             assert np.max(np.abs(a2 - b2)) < 1e-12, label
 
     def test_magnus_paths_agree(self):
+        # the vectorized nested sum equals the literal double loop
         rng = np.random.default_rng(23)
         n = 600
         v = rng.normal(size=(n, 3))
         v /= np.linalg.norm(v, axis=1)[:, None]
         dt = 1.0 / (n - 1)
-        a = _accel._magnus_nested_numpy(v[:, 0], v[:, 1], v[:, 2], dt)
-        b = _accel._magnus_nested_loop(v[:, 0], v[:, 1], v[:, 2], dt)
-        assert np.max(np.abs(np.array(a) - np.array(b))) < 1e-12
-        if _accel.HAVE_NUMBA:
-            c = _accel._magnus_nested_nb(
-                np.ascontiguousarray(v[:, 0]),
-                np.ascontiguousarray(v[:, 1]),
-                np.ascontiguousarray(v[:, 2]),
-                dt,
-            )
-            assert np.max(np.abs(np.array(c) - np.array(b))) < 1e-12
+        a = _accel.magnus_nested_r2(v[:, 0], v[:, 1], v[:, 2], dt)
+        b = magnus_nested_loop(v[:, 0], v[:, 1], v[:, 2], dt)
+        assert np.max(np.abs(a - np.array(b))) < 1e-12
 
     def test_trajectory_final_matches_product_limit(self, step_fields):
         # both kernels take the same Magnus4 steps on the same nodes, so the
@@ -218,18 +207,3 @@ class TestPathEquality:
         scale = np.max(np.linalg.norm(rddot, axis=1))
         assert np.max(np.abs(a - a_ref)) <= 1e-12 * scale
         assert np.max(np.abs(b - b_ref)) <= 1e-12 * scale
-
-
-def test_env_flag_forces_numpy_path():
-    code = (
-        "import os; os.environ['CURVEPULSE_NO_NUMBA']='1';"
-        "from curvepulse import _accel; assert not _accel.USE_NUMBA;"
-        "import numpy as np;"
-        "r2=_accel.magnus_nested_r2(np.ones(10),np.linspace(0,1,10),np.zeros(10),0.01);"
-        "print('%.12f' % abs(r2[2]))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env=python_env(),
-    )
-    assert out.stdout.strip()

@@ -101,6 +101,12 @@ class TestPropagate:
     def test_input_validation(self):
         with pytest.raises(InputError):
             cp.propagate("not a pulse", 0.0)
+        # no substep count resolves a non-finite noise value
+        pulse = square_x_pulse()
+        for bad in (np.nan, np.inf, -np.inf):
+            for kwargs in ({}, {"certify": True}, {"refinement": 2}):
+                with pytest.raises(InputError, match="finite"):
+                    cp.propagate(pulse, bad, **kwargs)
 
     def test_refinement_below_one_rejected(self):
         # every evolution checks its substep count, not only the CLI
@@ -225,6 +231,14 @@ class TestSweep:
             cp.infidelity_sweep(pulse, delta_beta=np.array([-0.1, 0.2, 0.3]))
         with pytest.raises(InputError):
             cp.infidelity_sweep(pulse, delta_beta=np.logspace(-2, -1.5, 6))
+        # NaN and inf pass the sign and span checks
+        for bad in (np.nan, np.inf):
+            grid = np.logspace(-3, -1, 8)
+            grid[3] = bad
+            with pytest.raises(InputError, match="finite"):
+                cp.infidelity_sweep(pulse, delta_beta=grid)
+        with pytest.raises(InputError, match="empty"):
+            cp.infidelity_sweep(pulse, delta_beta=[])
 
     def test_zero_noise_infidelity_floor(self, builtin_curves, builtin_frenet, builtin_pulses):
         # a correctly synthesized pulse reproduces its geometric target

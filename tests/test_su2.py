@@ -122,6 +122,12 @@ class TestRotationLift:
         # the lift follows the same convention
         assert cp.gate_distance(cp.unitary_from_rotation(r), u) < 1e-12
 
+    @pytest.mark.parametrize("diag", [(-1.0, -1.0, -1.0), (1.0, 1.0, -1.0)])
+    def test_improper_matrix_rejected(self, diag):
+        # orthogonal with determinant -1: no SU(2) preimage exists
+        with pytest.raises(InputError, match="not a rotation"):
+            cp.unitary_from_rotation(np.diag(diag))
+
 
 class TestAxisAngle:
     def test_extraction(self):
