@@ -20,7 +20,7 @@ from .simulator import MagnusErrors, _interaction_curve, _magnus_from
 from .synthesis import (
     CLOSURE_RTOL,
     PulseWaveform,
-    _bridged_drive_angle,
+    _polar,
     canonical_frame,
     pulses_from_curve,
     read_pulse_file,
@@ -166,21 +166,13 @@ def robustness_report(pulse, refinement=None):
     )
 
 
-def _polar_waveform(t, wx, wy, metadata):
-    # envelope and carried drive phase of Cartesian drive samples; the phase
-    # is held across samples whose envelope is below 1e-12 of its peak
-    omega = np.hypot(wx, wy)
-    ok = omega > 1e-12 * max(float(omega.max()), 1e-300)
-    phi = _carried_unwrap(np.arctan2(wy, wx), ok, seed=None)
-    return PulseWaveform(t, omega, phi, metadata=metadata)
-
-
 def import_external_pulse(path):
     """Load a pulse file, validate it, and normalize it for analysis.
 
     Non-uniform grids are resampled linearly (the worst interpolation
-    deviation is recorded); a nonzero detuning column is folded away by the
-    transverse-frame transform so analysis always runs in the canonical
+    deviation is recorded).  The drive becomes (omega, phi) by
+    PulseWaveform's rule, minus the end-corrected running integral of a
+    nonzero detuning column, so analysis always runs in the transverse
     frame.  Provenance (the hash of the bytes parsed, import timestamp) lands
     in metadata; the timestamp never enters serialized outputs.
     """
@@ -208,17 +200,12 @@ def import_external_pulse(path):
     if t[0] != 0.0:
         t = t - t[0]
 
+    ramp = 0.0
     if det is not None and np.any(det != 0.0):
-        mag, raw = _bridged_drive_angle(wx, wy)
-        psi = np.unwrap(raw)
-        dt = t[1] - t[0]
-        lam = cumtrapz_end_corrected(det, dt)
+        ramp = cumtrapz_end_corrected(det, t[1] - t[0])
         meta["frame"] = "transverse (detuning folded)"
-        # drive angle in the rotating frame: original azimuth minus the ramp
-        phi = psi - lam
-        return PulseWaveform(t, mag, phi, metadata=meta)
-
-    return _polar_waveform(t, wx, wy, meta)
+    omega, phi = _polar(wx, wy, ramp)
+    return PulseWaveform(t, omega, phi, metadata=meta)
 
 
 def synthetic_smooth_pulse(seed, duration=6.0, n_samples=2048, n_modes=4, scale=1.2):
@@ -239,4 +226,5 @@ def synthetic_smooth_pulse(seed, duration=6.0, n_samples=2048, n_modes=4, scale=
         wy += ay * np.sin(np.pi * k * t / duration) + by * np.cos(np.pi * k * t / duration)
     wx *= window
     wy *= window
-    return _polar_waveform(t, wx, wy, {"synthetic": True, "seed": int(seed)})
+    omega, phi = _polar(wx, wy)
+    return PulseWaveform(t, omega, phi, metadata={"synthetic": True, "seed": int(seed)})

@@ -1,7 +1,8 @@
 """Noisy two-level evolution, gate fidelity sweeps, and Magnus error integrals.
 
 The Hamiltonian is (omega_x/2) sx + (omega_y/2) sy + delta_beta sz with the
-Cartesian drive components interpolated linearly between waveform samples.
+Cartesian drive components interpolated linearly between waveform samples;
+a pulse with a nonzero detuning column is refused, not evolved without it.
 Every evolution steps with one fourth-order Magnus step over the
 node-sampled Hamiltonian: ``propagate`` and ``infidelity_sweep`` form the
 final product (the sweep for all its noise values in one batch), and the
@@ -76,6 +77,11 @@ def _substep_nodes(pulse, delta_beta, refinement):
     # row per noise value, as a broadcast view that allocates no rows
     if refinement < 1:
         raise InputError("refinement must be >= 1")
+    if pulse.detuning is not None and np.any(pulse.detuning != 0.0):
+        raise InputError(
+            "nonzero detuning column: no evolution models a z field; fold it into "
+            "phi first (import_external_pulse, transform_to_transverse_frame)"
+        )
     n = pulse.n_samples
     dt = pulse.dt / refinement
     total = (n - 1) * refinement + 1

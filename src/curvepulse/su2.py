@@ -19,6 +19,8 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY = np.eye(2, dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
+# from_matrix's unitarity bound; angles_from_unitary's degenerate-branch bound
+_UNITARY_TOL = 1e-8
 _DEGEN_TOL = 1e-9
 
 
@@ -36,13 +38,13 @@ class Unitary2:
         )
 
     @classmethod
-    def from_matrix(cls, m, tol=1e-8):
+    def from_matrix(cls, m):
         m = np.asarray(m, dtype=complex)
         if m.shape != (2, 2):
             raise InputError(f"expected a 2x2 matrix, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise InputError("non-finite matrix entries")
-        if np.max(np.abs(m @ m.conj().T - IDENTITY)) > tol:
+        if np.max(np.abs(m @ m.conj().T - IDENTITY)) > _UNITARY_TOL:
             raise InputError("matrix is not unitary within tolerance")
         # strip the global det phase so the stored pair is special-unitary
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
@@ -68,7 +70,7 @@ def unitary_from_angles(chi, phi, theta):
     return Unitary2(complex(u1), complex(u2))
 
 
-def angles_from_unitary(u, tol=_DEGEN_TOL):
+def angles_from_unitary(u):
     """Recover (chi, phi, theta) with chi in [0, pi].
 
     At chi = 0 or pi one angle combination is undetermined; a canonical
@@ -77,11 +79,11 @@ def angles_from_unitary(u, tol=_DEGEN_TOL):
     w = u if isinstance(u, Unitary2) else Unitary2.from_matrix(u)
     w = w.normalized()
     chi = 2.0 * np.arctan2(abs(w.u2), abs(w.u1))
-    if abs(w.u2) < tol:
+    if abs(w.u2) < _DEGEN_TOL:
         # z-rotation: only theta+phi observable; put it all in theta
         s = float(np.angle(w.u1))
         return EulerAngles(float(chi), 0.0, 2.0 * s, True)
-    if abs(w.u1) < tol:
+    if abs(w.u1) < _DEGEN_TOL:
         # equator point: only phi-theta observable; theta=0 branch
         d = float(np.angle(1j * w.u2))
         return EulerAngles(float(chi), 2.0 * d, 0.0, True)

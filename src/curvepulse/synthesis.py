@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _accel
 from ._files import read_table, write_csv, write_json
-from ._numerics import carried_unwrap, cumtrapz, fd1, fd2
+from ._numerics import carried_unwrap, cumtrapz_end_corrected, fd1, fd2
 from .curves import frenet_data
 from .errors import InputError, NoSolutionError
 from .su2 import Unitary2, gate_distance, unitary_axis_angle, unitary_from_angles
@@ -26,6 +26,8 @@ from .su2 import Unitary2, gate_distance, unitary_axis_angle, unitary_from_angle
 _POLE_TOL = 1e-7
 # a curve is closed when its end gap is at most this fraction of its length
 CLOSURE_RTOL = 1e-3
+# drive samples with an envelope at most this fraction of its peak carry no phase
+_ENVELOPE_FLOOR = 1e-12
 _Z = np.array([0.0, 0.0, 1.0])
 
 
@@ -33,8 +35,11 @@ _Z = np.array([0.0, 0.0, 1.0])
 class PulseWaveform:
     """Drive fields on a uniform time grid: envelope omega >= 0, phase phi.
 
-    The optional detuning column carries a z-axis field for lab-frame
-    exports; metadata records provenance and the phi0 convention.
+    Cartesian drive samples become (omega, phi) by one rule (_polar): the
+    hypot envelope, and a phase held where the envelope is at most 1e-12 of
+    its peak, minus the end-corrected ramp of a z field if there is one.
+    The optional detuning column carries a lab-frame export's z field,
+    which evolutions refuse; metadata records provenance and phi0.
     """
 
     t: np.ndarray
@@ -88,6 +93,16 @@ class PulseWaveform:
     @property
     def omega_y(self):
         return self.omega * np.sin(self.phi)
+
+
+def _polar(wx, wy, ramp=0.0, turns=1):
+    # envelope and drive phase of Cartesian drive samples, minus a ramp; the
+    # phase is held across envelopes at most _ENVELOPE_FLOOR of the peak.
+    # turns=2 unwraps twice the angle and halves it: a phase modulo pi
+    omega = np.hypot(wx, wy)
+    ok = omega > _ENVELOPE_FLOOR * max(float(omega.max()), 1e-300)
+    phi = carried_unwrap(turns * np.arctan2(wy, wx), ok) / turns
+    return omega, phi - ramp
 
 
 @dataclass(frozen=True)
@@ -340,37 +355,22 @@ def gate_from_frame(curve, frenet=None, phi0=None):
 def transform_to_transverse_frame(t, omega_x, omega_z, phase0=0.0, phase_ramp=None):
     """Rotate a (x-drive + z-field) Hamiltonian into the transverse form.
 
-    The z field is absorbed into the frame: omega = |omega_x| and
-    phi = phase0 - int(omega_z) with a pi offset where omega_x < 0.
+    The z field is absorbed into the frame: omega = |omega_x| and phi =
+    phase0 - lambda, plus pi where omega_x < 0 and held where omega_x is at
+    most 1e-12 of its peak (PulseWaveform's rule).  lambda is phase_ramp,
+    or else the end-corrected running integral of omega_z, as on import.
     """
     t = np.asarray(t, dtype=float)
     omega_x = np.asarray(omega_x, dtype=float)
     omega_z = np.asarray(omega_z, dtype=float)
     if omega_x.shape != t.shape or omega_z.shape != t.shape:
         raise InputError("waveforms must share one time grid")
-    dt = t[1] - t[0]
-    lam = np.asarray(phase_ramp, dtype=float) if phase_ramp is not None else cumtrapz(omega_z, dt)
+    lam = cumtrapz_end_corrected(omega_z, t[1] - t[0]) if phase_ramp is None else phase_ramp
+    lam = np.asarray(lam, dtype=float)
     if lam.shape != t.shape:
         raise InputError("phase_ramp must match the time grid")
-    phi = phase0 - lam + np.where(omega_x < 0, np.pi, 0.0)
-    return PulseWaveform(
-        t, np.abs(omega_x), phi, metadata={"frame": "transverse", "phase0": float(phase0)}
-    )
-
-
-def _bridged_drive_angle(wx, wy):
-    # envelope and drive angle; where the envelope is below 1e-12 of its
-    # peak the angle is interpolated over the unwrapped valid samples
-    mag = np.hypot(wx, wy)
-    ok = mag > 1e-12 * max(float(mag.max()), 1e-300)
-    raw = np.arctan2(wy, wx)
-    if not np.all(ok):
-        if not np.any(ok):
-            raw = np.zeros_like(raw)
-        else:
-            idx = np.flatnonzero(ok)
-            raw = np.interp(np.arange(len(raw)), idx, np.unwrap(raw[idx]))
-    return mag, raw
+    omega, phi = _polar(omega_x, np.zeros_like(omega_x), lam - phase0)
+    return PulseWaveform(t, omega, phi, metadata={"frame": "transverse", "phase0": float(phase0)})
 
 
 def transform_to_lab_frame(pulse):
@@ -382,8 +382,7 @@ def transform_to_lab_frame(pulse):
     """
     wx = pulse.omega_x
     wy = pulse.omega_y
-    _, raw = _bridged_drive_angle(wx, wy)
-    xi = np.unwrap(raw, period=np.pi)
+    _, xi = _polar(wx, wy, turns=2)
     signed = wx * np.cos(xi) + wy * np.sin(xi)
     omega_z = -fd1(xi, pulse.dt)
     return LabFramePulse(pulse.t, signed, omega_z, float(xi[0]), float(xi[0]) - xi)

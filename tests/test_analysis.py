@@ -217,6 +217,28 @@ class TestImport:
         assert abs(slope + 0.7) < 1e-3
         assert np.max(np.abs(pulse.omega - wx)) < 1e-12
 
+    @pytest.mark.parametrize("name", ["alpha_eq12", "const_torsion_gamma"])
+    def test_lab_csv_import_converges(self, tmp_path, name):
+        # transverse pulse -> lab waveform (signed x drive plus z field) ->
+        # CSV -> import, which folds the z field back into the phase: the
+        # worst drive error must fall at least 10x from 2048 to 4096 samples.
+        # clifford_fig1 is left out: its deep envelope dip limits fd1 of the
+        # drive angle, and its error falls only 1.7x (1.6e-4 -> 9.4e-5).
+        errors = []
+        for n in (2048, 4096):
+            pulse = cp.pulses_from_curve(cp.frenet_data(cp.builtin_curve(name, n_samples=n)))
+            path = tmp_path / f"lab-{n}.csv"
+            cp.save_pulse_csv(cp.transform_to_lab_frame(pulse).to_waveform(), path)
+            back = cp.import_external_pulse(path)
+            assert back.metadata["frame"] == "transverse (detuning folded)"
+            errors.append(
+                max(
+                    np.max(np.abs(back.omega_x - pulse.omega_x)),
+                    np.max(np.abs(back.omega_y - pulse.omega_y)),
+                )
+            )
+        assert errors[0] >= 10.0 * errors[1], errors
+
     def test_decreasing_time_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,omega_x,omega_y\n0,1,0\n0.2,1,0\n0.1,1,0\n")

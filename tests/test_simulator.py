@@ -122,6 +122,26 @@ class TestPropagate:
                 call()
 
 
+class TestDetuningColumn:
+    @pytest.mark.parametrize(
+        "evolve",
+        [cp.propagate, cp.infidelity_sweep, cp.magnus_errors, cp.curve_from_pulse,
+         cp.robustness_report],
+        ids=lambda f: f.__name__,
+    )
+    def test_lab_waveform_refused(self, evolve, builtin_pulses):
+        # a lab-frame waveform keeps its phase in the z field; its drive
+        # columns alone are another pulse, so no evolution may drop the field
+        lab = cp.transform_to_lab_frame(builtin_pulses["clifford_fig1"]).to_waveform()
+        with pytest.raises(InputError, match="detuning"):
+            evolve(lab)
+
+    def test_zero_column_evolves(self):
+        pulse = square_x_pulse()
+        zero = cp.PulseWaveform(pulse.t, pulse.omega, pulse.phi, detuning=np.zeros(128))
+        assert cp.gate_distance(cp.propagate(zero), cp.propagate(pulse)) == 0.0
+
+
 class TestInfidelity:
     def test_exact_cases(self):
         rng = np.random.default_rng(2)
