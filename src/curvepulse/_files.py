@@ -4,6 +4,7 @@ and every curve or pulse file it reads is parsed here."""
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -40,11 +41,49 @@ def write_text(path, text):
 
 
 def write_json(path, payload, indent=None):
-    """json.dumps(payload, sort_keys=True) plus a newline; returns the sha256.
+    """json.dumps(payload, sort_keys=True, indent=indent) plus a newline; returns the sha256.
 
-    Without an indent json.dumps takes the C encoder (json.dump never does).
+    Without an indent the payload is a dict with str keys, written a value
+    at a time.  A float64 ndarray value of one or two dimensions is written
+    as json.dumps writes its .tolist(), a list or a list of rows: the
+    shortest repr of each float, formatted by _format_repr a block at a time
+    (by json.dumps up to _SMALL values).  Every other value, and every
+    payload with an indent, goes to json.dumps with sorted keys (without an
+    indent json.dumps takes the C encoder; json.dump never does).
     """
-    return write_text(path, json.dumps(payload, sort_keys=True, indent=indent) + "\n")
+    if indent is not None:
+        return write_text(path, json.dumps(payload, sort_keys=True, indent=indent) + "\n")
+
+    def chunks():
+        yield b"{"
+        for i, key in enumerate(sorted(payload)):
+            yield (b", " if i else b"") + json.dumps(key).encode("utf-8") + b": "
+            value = payload[key]
+            if isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim in (1, 2):
+                yield from _json_array(value)
+            else:
+                yield json.dumps(value, sort_keys=True).encode("utf-8")
+        yield b"}\n"
+
+    return _write_chunks(path, chunks())
+
+
+def _json_array(values):
+    """The chunks of json.dumps(values.tolist()) for a 1-D or 2-D float64 array."""
+    if values.size <= _SMALL:
+        yield json.dumps(values.tolist()).encode("utf-8")
+        return
+    if values.ndim == 1:
+        yield b"["
+        yield from _text_blocks(_format_repr, values[:, None], [_SEP_JSON], _SEP_NONE)
+        yield b"]"
+        return
+    # rows end in "\n", which becomes the "], [" between lists
+    seps = [_SEP_JSON] * (values.shape[1] - 1) + [_SEP_NEWLINE]
+    yield b"[["
+    for text in _text_blocks(_format_repr, values, seps, _SEP_NONE):
+        yield text.replace(b"\n", b"], [")
+    yield b"]]"
 
 
 def write_csv(path, header, columns):
@@ -52,46 +91,93 @@ def write_csv(path, header, columns):
 
     The bytes are exactly those of np.savetxt with fmt="%.17g",
     delimiter="," and comments="", that is of ``"%.17g" % v`` for every
-    value.  The values are formatted by _format_g17, a block of rows at a
-    time, and each block is hashed and written as soon as it is formatted.
-    Returns the sha256 of the bytes written.
+    value.  A table of more than _SMALL values is formatted by
+    _format_g17, a block of rows at a time, and each block is hashed and
+    written as soon as it is formatted; a smaller one takes the exact step
+    wholesale, one % over all of its values.  Returns the sha256 of the
+    bytes written.
     """
     data = np.column_stack(columns).astype(np.float64, copy=False)
     rows, ncol = data.shape
-    last = np.tile(np.arange(ncol) == ncol - 1, min(rows, _BLOCK_ROWS))
+    head = (header + "\n").encode("utf-8")
+    if data.size <= _SMALL:
+        row = b",".join([b"%.17g"] * ncol) + b"\n"
+        return _write_chunks(path, [head, row * rows % tuple(data.ravel().tolist())])
+    seps = [_SEP_COMMA] * (ncol - 1) + [_SEP_NEWLINE]
+    return _write_chunks(path, itertools.chain([head], _text_blocks(_format_g17, data, seps)))
 
-    def chunks():
-        yield (header + "\n").encode("utf-8")
-        for start in range(0, rows, _BLOCK_ROWS):
-            block = data[start:start + _BLOCK_ROWS].ravel()
-            words = _format_g17(block, last[: block.size])
-            yield words.tobytes().translate(None, b"\0")
 
-    return _write_chunks(path, chunks())
+def _text_blocks(kernel, data, seps, final=None):
+    """The text of a 2-D array by one of the two kernels, whole rows of about
+    _BLOCK_VALUES values at a time.
+
+    seps gives the separator of each column, and final (if given) that of
+    the array's last value.
+    """
+    rows, ncol = data.shape
+    step = max(1, _BLOCK_VALUES // ncol)
+    sep = np.tile(np.array(seps, np.intp), min(rows, step))
+    for start in range(0, rows, step):
+        block = data[start:start + step].ravel()
+        block_sep = sep[: block.size]
+        if final is not None and start + step >= rows:
+            block_sep = block_sep.copy()
+            block_sep[-1] = final
+        yield kernel(block, block_sep).tobytes().translate(None, b"\0")
 
 
 # ---------------------------------------------------------------------------
-# "%.17g" % v for a whole array.  A nonzero finite x has 17 significant
-# digits D (10**16 <= D < 10**17) and a decimal exponent E with
-# D * 10**(E - 16) the correct rounding of |x|, so D is the rounding of
-# t = |x| * 10**(16 - E).  t is formed in float64 as p + q: p = fl(|x| * h)
-# and its exact rounding error by Dekker's product (Veltkamp split), plus
-# |x| * l, where h + l is 10**(16 - E) to within 2**-105 relative.  For
-# 10**16 <= t < 10**17 the two roundings in q and the table's own error stay
-# below 2**-47 in absolute terms, so with q = floor(q) + r the rounding of t
-# is certain once r is more than _BOUND = 2**-44 from one half.  A value the
-# bound cannot decide (an exact or near tie), and one outside the table's
-# magnitudes (subnormal, below 1e-290 or from 1e290 up, inf, nan), takes the
-# exact step: Python's own "%.17g" % v, written into the same block.  Within
-# those magnitudes neither the split of |x| nor any partial product of the
-# Dekker product overflows or underflows.
+# One kernel, two digit rules: "%.17g" % v (write_csv) and repr(v), the
+# shortest digits that read back to v (write_json), for a whole array.
+#
+# A nonzero finite x has a decimal exponent E with |x| * 10**(16 - E) = t in
+# [10**16, 10**17).  t is formed in float64 as p + q: p = fl(|x| * h) and
+# its exact rounding error by Dekker's product (Veltkamp split), plus
+# |x| * l, where h + l is 10**(16 - E) to within 2**-105 relative.  The two
+# roundings in q and the table's own error stay below 2**-47 in absolute
+# terms, so with q = floor(q) + r, t is A + r to within 2**-47 (_scaled).
+#
+# "%.17g" takes the 17 digits D = A or A + 1, the rounding of t, which is
+# certain once r is more than _BOUND = 2**-44 from one half.
+#
+# repr takes the fewest digits whose nearest candidate lies strictly inside
+# the rounding interval of x, (x - below, x + above) for the half-gaps to
+# the neighbouring doubles (below is half of above at a power of two).
+# Scaled like t the half-gaps lie in (0.55, 11.1], so the integers inside
+# the interval are L..U, with U - L < 23: a multiple of 10**m for the
+# largest m that has one (unique for m >= 2), and of those the nearest to t
+# (m = 1: the nearest multiple of 10, moved into L..U; m = 0: D).  Padded
+# to 17 digits it goes through the same layout, which strips trailing zeros.
+# It is certain once t - below and t + above are more than _BOUND from an
+# integer and, for m <= 1, t is more than _BOUND from the midpoint between
+# the two nearest candidates.  repr's layout differs from %g's in three
+# places, which the tables hold: 0.0 for 0, ".0" after an integer in fixed
+# notation, and exponent notation from E = 16 (1e+16).
+#
+# The exact step writes the text of one value as Python does, into the same
+# block: "%.17g" % v, or JSON's text (NaN and Infinity where v is not
+# finite).  It takes every value the bound cannot decide (an exact or near
+# tie, or a candidate on the interval's edge, as for every double from 2**52
+# to 1e17), and every value outside the table's magnitudes (subnormal,
+# below 1e-290 or from 1e290 up, inf, nan), within which neither the split
+# of |x| nor any partial product of the Dekker product overflows or
+# underflows.
 
-_BLOCK_ROWS = 1024
+_BLOCK_VALUES = 4096  # per kernel call: 1024 rows of four columns, or one 4096-sample array
+# Up to this many values the exact step, taken wholesale by one % or one
+# json.dumps, is quicker than the kernel, whose fixed cost is about 70 us
+# (%.17g) or 110 us (repr) a call.  Both cross over at about 256 values
+# (random normal values, 2 columns for CSV; NumPy 2.4, 2-core Xeon).
+_SMALL = 256
 _BOUND = 2.0 ** -44
 _X_LO, _X_HI = 1e-290, 1e290
 _E_MIN, _E_MAX = -292, 291  # the exponents the product table covers
 _SPLIT = 134217729.0  # 2**27 + 1
 _WORD = np.dtype("<u8")  # byte 0 of a word is the first character written
+# the separators a value's text may end in, by index
+_SEPS = (b",", b"\n", b", ", b"")
+_SEP_COMMA, _SEP_NEWLINE, _SEP_JSON, _SEP_NONE = range(len(_SEPS))
+_G17, _REPR = 0, 1  # the digit rules
 
 
 def _pow10_table():
@@ -117,53 +203,52 @@ def _pow10_table():
 
 
 def _layout_tables():
-    """Masks and fixed bytes of the text after d0, by (class, nd1, last).
+    """Masks of the text after d0 by (rule, class, nd1), and its fixed bytes
+    by (rule, class, nd1, separator).
 
     Class 0-16 is fixed notation with that many digits after d0 before the
     point, 17 is exponent notation (point after d0) and 18-21 is
     0.ddd...0.000ddd (E = -1 .. -4, no point among the digits).  nd1 is
     the number of significant digits after d0 (trailing zeros stripped) and
-    last says whether the separator is a newline.  The digits after d0 are
-    16 bytes; those before the point (A) stay, those after it (B) move one
-    byte right, and the kept text is `length` bytes long.
+    the separator indexes _SEPS.  The digits after d0 are 16 bytes; those
+    before the point (A) stay, those after it (B) move one byte right, and
+    the kept text is `length` bytes long.  An integer in fixed notation
+    ends at the point under %g, and in ".0" under repr: the point, then the
+    "0" of the first digit past nd1 (repr's class stops at 15, so there is
+    one).
     """
-    c, nd1, last = np.ix_(*(np.arange(n, dtype=np.uint8) for n in (22, 17, 2)))
+    rule, c, nd1 = np.ix_(*(np.arange(n, dtype=np.uint8) for n in (2, 22, 17)))
     pp = np.where(c <= 16, c, np.where(c == 17, 0, 16))
-    length = np.where(c >= 18, nd1, np.where(nd1 > pp, nd1 + 1, pp))
-    pp, length, last = (t[..., None] for t in np.broadcast_arrays(pp, length, last))
+    integer = np.where((c < 17) & (rule == _REPR), pp + 2, pp)
+    length = np.where(c >= 18, nd1, np.where(nd1 > pp, nd1 + 1, integer))
+    pp, length = (t[..., None] for t in np.broadcast_arrays(pp, length))
     b = np.arange(16, dtype=np.uint8)
     a_mask = ((b < pp) & (b < length)) * np.uint8(255)
     b_mask = ((b >= pp) & (b + 1 < length)) * np.uint8(255)
     pos = np.arange(24, dtype=np.uint8)
-    sep = ((pos == length) & (c[..., None] != 17)) * np.where(last, 10, 44).astype(np.uint8)
     point = ((pos == pp) & (pp < length)) * np.uint8(46)
-    return [np.ascontiguousarray(t.reshape(22 * 17 * 2, -1).view(_WORD).T)
-            for t in (a_mask, b_mask, sep | point)]
+    sep = np.frombuffer(b"".join(s.ljust(2, b"\0") for s in _SEPS), np.uint8).reshape(-1, 2)
+    pos, length = pos[..., None, :], length[..., None, :]  # a separator axis before pos
+    sep_text = (pos == length) * sep[:, :1] + (pos == length + 1) * sep[:, 1:]
+    sep_text *= (c != 17)[..., None, None].astype(np.uint8)  # exponent notation: in _EXP
+    fixed = sep_text.astype(np.uint8) | point[..., None, :]
+    return [np.ascontiguousarray(t.reshape(-1, t.shape[-1]).view(_WORD).T)
+            for t in (a_mask, b_mask, fixed)]
 
 
 (_HI, _HH, _HL, _LO) = _pow10_table()
 (_A_MASK, _B_MASK, _FIXED) = _layout_tables()
 _E_ALL = np.arange(_E_MIN, _E_MAX + 2)  # after a carry E can reach _E_MAX + 1
-_CLASS = np.select([(_E_ALL >= 0) & (_E_ALL <= 16), (_E_ALL < 0) & (_E_ALL >= -4)],
-                   [_E_ALL, 17 - _E_ALL], 17)
+_G17_CLASS = np.select([(_E_ALL >= 0) & (_E_ALL <= 16), (_E_ALL < 0) & (_E_ALL >= -4)],
+                       [_E_ALL, 17 - _E_ALL], 17)
+# class by (rule, E): repr writes E = 16 in exponent notation
+_CLASS = np.stack([_G17_CLASS, np.where(_E_ALL == 16, 17, _G17_CLASS)])
 _LEAD = np.where(_CLASS >= 18, -_E_ALL, 0)  # 0., 0.0, 0.00 or 0.000 before d0
-
-
-def _exponent_table():
-    """e+XX or e-XXX and the separator, right-aligned, by (E, last); 0 for fixed notation."""
-    text = np.zeros((_E_ALL.size, 2, 8), np.uint8)
-    mag = np.abs(_E_ALL)[:, None]
-    text[..., 2] = ord("e")
-    text[..., 3] = np.where(_E_ALL < 0, ord("-"), ord("+"))[:, None]
-    text[..., 4] = np.where(mag >= 100, 48 + mag // 100, 0)  # NUL below 100
-    text[..., 5] = 48 + mag // 10 % 10
-    text[..., 6] = 48 + mag % 10
-    text[..., 7] = [ord(","), ord("\n")]
-    text[_CLASS != 17] = 0
-    return text.view(_WORD).ravel()
-
-
-_EXP = _exponent_table()
+# e+XX or e-XXX and the separator, right-aligned, by (rule, E, separator);
+# 0 for fixed notation
+_EXP = np.array([[(b"e%+03d" % e + s).rjust(8, b"\0") if c == 17 else b""
+                  for e, c in zip(_E_ALL.tolist(), rule_class.tolist()) for s in _SEPS]
+                 for rule_class in _CLASS], dtype="S8").view(_WORD)
 # sign, leading 0.000 and d0, right-aligned, by (sign, lead, d0)
 _PREFIX = np.array([(b"-" * s + (b"0." + b"0" * (lead - 1) if lead else b"") + b"%d" % d).rjust(8, b"\0")
                     for s in (0, 1) for lead in range(5) for d in range(10)], dtype="S8").view(_WORD)
@@ -185,21 +270,13 @@ def _scaled(ax, exponent):
     return p.astype(np.int64) + qf.astype(np.int64), q - qf
 
 
-def _exact_g17(v):
-    """The exact step: Python's own %.17g."""
-    return b"%.17g" % v
+def _placed(x):
+    """|x| held to the table's magnitudes, E, A, r and D of every value.
 
-
-def _format_g17(x, last):
-    """ "%.17g" % v for each v of x, plus "," or (where last) "\n".
-
-    Returns (len(x), 4) little-endian words whose bytes, with every NUL
-    removed, are the text.  Word 0 holds sign, leading "0.000" and d0,
-    right-aligned; words 1-3 the digits after d0 with the point and the
-    separator, and for exponent notation the exponent and separator
-    right-aligned at the end of word 3.
+    Also returns the values the table cannot place: outside its magnitudes,
+    or not placed by one redo (libm's log10 is within an ulp, so that last
+    one would need a log10 two off).
     """
-    n = x.size
     ax = np.abs(x)
     axs = np.fmin(np.fmax(ax, _X_LO), _X_HI)  # nan -> _X_LO
     exponent = np.floor(np.log10(axs)).astype(np.int64)
@@ -210,16 +287,81 @@ def _format_g17(x, last):
         exponent[off] += np.where(a[off] < 10**16, -1, 1)
         a[off], r[off] = _scaled(axs[off], exponent[off])
         d[off] = a[off] + (r[off] > 0.5)
-    # undecided, outside the table, or not placed by one redo (libm's log10
-    # is within an ulp, so that last one would need a log10 two off)
-    exact = (np.abs(r - 0.5) <= _BOUND) | (a < 10**16) | (d > 10**17) | (axs != ax)
-    carry = d == 10**17
-    d[carry] = 10**16
-    exponent += carry
-    zero = ax == 0
+    outside = (a < 10**16) | (d > 10**17) | (axs != ax)
+    return axs, exponent, a, r, d, outside
+
+
+def _exact_g17(v):
+    """The exact step of %.17g: Python's own."""
+    return b"%.17g" % v
+
+
+def _exact_json(v):
+    """The exact step of repr: JSON's own text of the float."""
+    return json.dumps(v).encode("ascii")
+
+
+def _format_g17(x, sep):
+    """ "%.17g" % v for each v of x, each followed by _SEPS[sep]; see _layout.
+
+    D is the rounding of A + r; values the bound cannot decide, and values
+    outside the table, take the exact step, "%.17g" % v.
+    """
+    _, exponent, _, r, d, outside = _placed(x)
+    exact = outside | (np.abs(r - 0.5) <= _BOUND)
+    return _layout(x, d, exponent, sep, _G17, exact, _exact_g17)
+
+
+def _format_repr(x, sep):
+    """repr(v) for each v of x (NaN, Infinity, -Infinity where it is not
+    finite, as JSON writes them), each followed by _SEPS[sep]; see _layout.
+
+    The digits are the shortest round trip; values the bound cannot decide,
+    and values outside the table, take the exact step, JSON's own text.
+    """
+    axs, exponent, a, r, d, outside = _placed(x)
+    mant, fe = np.frexp(axs)
+    above = np.ldexp(_HI[exponent - _E_MIN], fe - 54)  # half the gap up, scaled like A + r
+    below = np.where(mant == 0.5, 0.5 * above, above)
+    f = r - below
+    g = r + above
+    hi = a + np.ceil(g).astype(np.int64) - 1  # U
+    width = hi - a - np.floor(f).astype(np.int64)  # U - L + 1
+    tens = hi - hi // 100 * 100
+    ones = tens - tens // 10 * 10
+    # a multiple of 100 in L..U is the only one there, with the most zeros;
+    # else the multiple of 10 nearest to t, moved into L..U; else D
+    c = (a + 5) // 10 * 10
+    c += 10 * (c <= hi - width) - 10 * (c > hi)
+    c = np.where(tens < width, hi - tens, np.where(ones < width, c, d))
+    # t's distance to the midpoint between the two nearest candidates
+    mid = np.where(ones < width, (a - a // 10 * 10) + r - 5.0, r - 0.5)
+    near = ((np.abs(mid) <= _BOUND) & (tens >= width)
+            | (np.abs(f - np.rint(f)) <= _BOUND) | (np.abs(g - np.rint(g)) <= _BOUND))
+    return _layout(x, c, exponent, sep, _REPR, outside | near, _exact_json)
+
+
+def _layout(x, d, exponent, sep, rule, exact, exact_text):
+    """The text of each v of x by one digit rule, followed by _SEPS[sep].
+
+    d holds the 17 digits (trailing zeros are stripped) and exponent E;
+    v = +-0 is laid out as 0 (0.0 under repr) whatever d and exact say,
+    and exact_text(v) is written where exact.
+
+    Returns (len(x), 4) little-endian words whose bytes, with every NUL
+    removed, are the text.  Word 0 holds sign, leading "0.000" and d0,
+    right-aligned; words 1-3 the digits after d0 with the point and the
+    separator, and for exponent notation the exponent and separator
+    right-aligned at the end of word 3.
+    """
+    n = x.size
+    zero = x == 0
     exact &= ~zero
     d[zero] = 0
     exponent[zero] = 0
+    carry = d == 10**17
+    d[carry] = 10**16
+    exponent += carry
 
     # the 16 digits after d0 as ASCII in two words, two at a time per lane
     top = d // 10**8
@@ -239,18 +381,19 @@ def _format_g17(x, last):
     v |= _ZEROS
 
     e = exponent - _E_MIN
-    k = (_CLASS[e] * 17 + nd1) * 2 + last
+    m = (rule * 22 + _CLASS[rule][e]) * 17 + nd1
+    k = m * len(_SEPS) + sep
     lo, hi = v[:, 0], v[:, 1]
-    b_lo = lo & _B_MASK[0][k]
-    b_hi = hi & _B_MASK[1][k]
+    b_lo = lo & _B_MASK[0][m]
+    b_hi = hi & _B_MASK[1][m]
     out = np.empty((n, 4), _WORD)
-    out[:, 0] = _PREFIX[d0 + 10 * _LEAD[e] + 50 * np.signbit(x)]
-    out[:, 1] = (lo & _A_MASK[0][k]) | (b_lo << 8) | _FIXED[0][k]
-    out[:, 2] = (hi & _A_MASK[1][k]) | (b_hi << 8) | (b_lo >> 56) | _FIXED[1][k]
-    out[:, 3] = (b_hi >> 56) | _FIXED[2][k] | _EXP[2 * e + last]
+    out[:, 0] = _PREFIX[d0 + 10 * _LEAD[rule][e] + 50 * np.signbit(x)]
+    out[:, 1] = (lo & _A_MASK[0][m]) | (b_lo << 8) | _FIXED[0][k]
+    out[:, 2] = (hi & _A_MASK[1][m]) | (b_hi << 8) | (b_lo >> 56) | _FIXED[1][k]
+    out[:, 3] = (b_hi >> 56) | _FIXED[2][k] | _EXP[rule][len(_SEPS) * e + sep]
     slots = out.view(np.uint8).reshape(n, 32)
     for i in np.flatnonzero(exact).tolist():
-        text = _exact_g17(float(x[i])) + (b"\n" if last[i] else b",")
+        text = exact_text(float(x[i])) + _SEPS[sep[i]]
         slots[i] = 0
         slots[i, : len(text)] = np.frombuffer(text, np.uint8)
     return out

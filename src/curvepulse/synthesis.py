@@ -120,8 +120,13 @@ class LabFramePulse:
     phase_ramp: np.ndarray
 
     def to_waveform(self):
+        """The drive as samples: along phase0, flipped by pi where omega_x < 0.
+
+        Keeping phase0 in phi keeps it in the written columns, so an
+        imported lab CSV starts at the drive's own phase.
+        """
         omega = np.abs(self.omega_x)
-        phi = np.where(self.omega_x < 0, np.pi, 0.0)
+        phi = self.phase0 + np.where(self.omega_x < 0, np.pi, 0.0)
         return PulseWaveform(
             self.t,
             omega,
@@ -471,10 +476,10 @@ def _clean_metadata(metadata):
 def save_pulse_json(pulse, path):
     """Write omega, phi, detuning and metadata; returns the sha256 of the bytes written."""
     payload = {
-        "t": pulse.t.tolist(),
-        "omega": pulse.omega.tolist(),
-        "phi": pulse.phi.tolist(),
-        "detuning": None if pulse.detuning is None else pulse.detuning.tolist(),
+        "t": pulse.t,
+        "omega": pulse.omega,
+        "phi": pulse.phi,
+        "detuning": pulse.detuning,
         "metadata": _clean_metadata(pulse.metadata),
     }
     return write_json(path, payload)

@@ -239,6 +239,18 @@ class TestImport:
             )
         assert errors[0] >= 10.0 * errors[1], errors
 
+    @pytest.mark.parametrize("phi0", [0.0, 0.4])
+    def test_lab_csv_keeps_start_phase(self, tmp_path, phi0):
+        # the lab waveform's columns carry the drive's start phase, so the
+        # imported pulse makes the original's gate; with phi(0) dropped it
+        # landed 0.28 away at phi0 = 0.4
+        curve = cp.builtin_curve("clifford_fig1", n_samples=4096)
+        pulse = cp.pulses_from_curve(cp.frenet_data(curve), phi0=phi0)
+        path = tmp_path / "lab.csv"
+        cp.save_pulse_csv(cp.transform_to_lab_frame(pulse).to_waveform(), path)
+        back = cp.import_external_pulse(path)
+        assert cp.gate_distance(cp.propagate(back, 0.0), cp.propagate(pulse, 0.0)) < 1e-6
+
     def test_decreasing_time_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,omega_x,omega_y\n0,1,0\n0.2,1,0\n0.1,1,0\n")

@@ -1,8 +1,9 @@
-"""The shared curve/pulse table reader (bulk path, row parser and messages)
-and the %.17g table writer."""
+"""The shared curve/pulse table reader (bulk path, row parser and messages),
+the %.17g table writer and the JSON writer."""
 
 import csv
 import hashlib
+import json
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -329,6 +330,17 @@ class TestCsvFormatter:
         assert _written(tmp_path, values, 2) == _percent_g(values, 2)
         assert sorted(map(repr, seen)) == sorted(map(repr, np.concatenate([ties, outside]).tolist()))
 
+    @pytest.mark.parametrize("rows", [1, 16, _files._SMALL // 2, _files._SMALL // 2 + 1, 400])
+    def test_small_tables_take_the_exact_step_wholesale(self, tmp_path, monkeypatch, rows):
+        # at most _SMALL values: one % over the table; above it: the kernel
+        rng = np.random.default_rng(26)
+        v = rng.normal(size=2 * rows) * 10.0 ** rng.integers(-8, 8, 2 * rows)
+        calls = []
+        kernel = _files._format_g17
+        monkeypatch.setattr(_files, "_format_g17", lambda *args: calls.append(1) or kernel(*args))
+        assert _written(tmp_path, v, 2) == _percent_g(v, 2)
+        assert bool(calls) == (v.size > _files._SMALL)
+
     def test_allocates_less_than_one_format_call(self, tmp_path):
         # the writer this one replaced: one % over a tuple of every value
         rng = np.random.default_rng(24)
@@ -349,3 +361,131 @@ class TestCsvFormatter:
         blocked = peak(lambda: _files.write_csv(tmp_path / "new.csv", "t,a,b,c", cols))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
         assert blocked < 0.6 * one_format  # about 1.7 MiB against 4.3 MiB
+
+
+def _json_written(tmp_path, values):
+    """The bytes write_json gives for {"v": values}."""
+    path = tmp_path / "values.json"
+    _files.write_json(path, {"v": values})
+    return path.read_bytes()
+
+
+def _dumps(values):
+    """The oracle: json.dumps of the same payload with the array as a list."""
+    return (json.dumps({"v": values.tolist()}, sort_keys=True) + "\n").encode()
+
+
+def _old_pulse_json(pulse):
+    """save_pulse_json's bytes when it passed json.dumps every column as a list."""
+    payload = {
+        "t": pulse.t.tolist(),
+        "omega": pulse.omega.tolist(),
+        "phi": pulse.phi.tolist(),
+        "detuning": None if pulse.detuning is None else pulse.detuning.tolist(),
+        "metadata": {k: v for k, v in pulse.metadata.items() if k != "import_timestamp"},
+    }
+    return (json.dumps(payload, sort_keys=True) + "\n").encode()
+
+
+class TestJsonFormatter:
+    """write_json's vectorized repr gives the bytes of json.dumps."""
+
+    def test_random_bit_patterns(self, tmp_path):
+        rng = np.random.default_rng(30)
+        for _ in range(5):  # 5 x 2**18 patterns, nan and +-inf among them
+            v = rng.integers(0, 2**64, 2**18, dtype=np.uint64).view(np.float64)
+            v[rng.integers(0, v.size, 3)] = [np.nan, np.inf, -np.inf]
+            assert _json_written(tmp_path, v) == _dumps(v)
+
+    def test_log_uniform_magnitudes(self, tmp_path):
+        rng = np.random.default_rng(31)
+        v = rng.choice([-1.0, 1.0], 2**18) * 10.0 ** rng.uniform(-320.0, 308.25, 2**18)
+        assert _json_written(tmp_path, v) == _dumps(v)
+
+    def test_edge_values(self, tmp_path):
+        rng = np.random.default_rng(32)
+        edges = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-5, 1e-4,
+                 0.1, 0.2, 0.3, 2 / 3, 1 / 3, 0.5, 1.0, 123.0, 1e15, 1e16, 1e17, 1e22, 1e23]
+        # every power of two (the half-gap below is half the one above) and
+        # of ten that a double holds
+        powers = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
+                                 [float(f"1e{e}") for e in range(-323, 309)]])
+        v = np.concatenate([edges, powers])
+        with np.errstate(over="ignore"):  # above the largest double is inf
+            v = np.concatenate([v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf)])
+        integral = np.concatenate([np.arange(-3000.0, 3000.0), 2.0**53 + np.arange(-8.0, 9.0),
+                                   np.floor(10.0 ** rng.uniform(0.0, 17.0, 4096))])
+        e16 = rng.uniform(1e16, 1e17, 4096)
+        subnormal = rng.integers(1, 2**52, 4096).view(np.float64)
+        short = rng.integers(1, 10**6, 4096) * 10.0 ** rng.integers(-12, 12, 4096)
+        v = np.concatenate([v, integral, e16, np.floor(e16), subnormal, short])
+        v = np.concatenate([v, -v])
+        assert _json_written(tmp_path, v) == _dumps(v)
+
+    def test_what_takes_the_exact_step(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(33)
+        # values outside the table, and half-gaps that end on an integer
+        # (every double from 2**52 to 1e17) take it
+        exact = [2.0**53, 1e16, -2.5e16, 99999999999999984.0,
+                 np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 1e-291, 3e290]
+        # the layouts where repr differs from %g do not: 0.0, 1.0, 1e+16
+        laid_out = [0.0, -0.0, 1.0, -123.0, 4096.0, 1e15, 0.5, 1e-5]
+        # below 1: no double whose half-gaps end on a 17-digit decimal
+        ordinary = rng.uniform(1.1, 9.9, 1000) * 10.0 ** rng.integers(-280, 0, 1000)
+        values = rng.permutation(np.concatenate([exact, laid_out, ordinary]))
+        seen = []
+        exact_json = _files._exact_json
+
+        def recording(v):
+            seen.append(v)
+            return exact_json(v)
+
+        monkeypatch.setattr(_files, "_exact_json", recording)
+        assert _json_written(tmp_path, values) == _dumps(values)
+        assert sorted(map(repr, seen)) == sorted(map(repr, exact))
+
+    @pytest.mark.parametrize("size", [0, 1, _files._SMALL, _files._SMALL + 1, 5000])
+    def test_sizes_either_side_of_the_kernel(self, tmp_path, monkeypatch, size):
+        v = np.random.default_rng(34).normal(size=size)
+        calls = []
+        kernel = _files._format_repr
+        monkeypatch.setattr(_files, "_format_repr", lambda *args: calls.append(1) or kernel(*args))
+        assert _json_written(tmp_path, v) == _dumps(v)
+        assert bool(calls) == (size > _files._SMALL)
+
+    @pytest.mark.parametrize("ncol", [1, 3, 4])
+    def test_rows(self, tmp_path, ncol):
+        v = np.random.default_rng(35).normal(size=(5000, ncol)) * 1e-3
+        v[0, 0] = 0.0
+        assert _json_written(tmp_path, v) == _dumps(v)
+
+    def test_pulse_json_bytes(self, tmp_path, builtin_pulses):
+        lab = cp.transform_to_lab_frame(builtin_pulses["clifford_fig1"]).to_waveform()
+        nested = cp.PulseWaveform(lab.t, lab.omega, lab.phi, detuning=lab.detuning, metadata={
+            "frame": "lab", "import_timestamp": "dropped",
+            "source": {"b": [1, 2.5, None, 1e16], "a": {"z": -0.0, "y": "\u00e9"}},
+        })
+        pulses = {**builtin_pulses, "lab-nested": nested}
+        assert len(pulses) == 6
+        for name, pulse in pulses.items():
+            path = tmp_path / f"{name}.json"
+            digest = cp.save_pulse_json(pulse, path)
+            assert path.read_bytes() == _old_pulse_json(pulse), name
+            assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_curve_json_bytes(self, tmp_path):
+        curve = cp.random_fourier_loop(0, n_samples=2048)
+        path = tmp_path / "curve.json"
+        cp.save_curve_json(curve, path)
+        samples = np.column_stack([curve.t, curve.points]).tolist()
+        want = json.dumps({"samples": samples, "source_tag": curve.source_tag}, sort_keys=True)
+        assert path.read_bytes() == (want + "\n").encode()
+
+    def test_other_payloads_unchanged(self, tmp_path):
+        v = np.linspace(0.0, 1.0, 1000)
+        for payload, indent in [({}, None), ({"b": 1, "a": [0.5]}, None),
+                                ({"v": v.tolist(), "w": {"y": 1, "x": 2}}, 2)]:
+            path = tmp_path / "other.json"
+            _files.write_json(path, payload, indent=indent)
+            want = json.dumps(payload, sort_keys=True, indent=indent) + "\n"
+            assert path.read_bytes() == want.encode()
