@@ -44,12 +44,11 @@ def write_json(path, payload, indent=None):
     """json.dumps(payload, sort_keys=True, indent=indent) plus a newline; returns the sha256.
 
     Without an indent the payload is a dict with str keys, written a value
-    at a time.  A float64 ndarray value of one or two dimensions is written
-    as json.dumps writes its .tolist(), a list or a list of rows: the
-    shortest repr of each float, formatted by _format_repr a block at a time
-    (by json.dumps up to _SMALL values).  Every other value, and every
-    payload with an indent, goes to json.dumps with sorted keys (without an
-    indent json.dumps takes the C encoder; json.dump never does).
+    at a time.  A 1-D float64 ndarray value is written as json.dumps writes
+    its .tolist(): a list of the shortest repr of each float, formatted by
+    _format_repr a block at a time.  Every other value, and every payload
+    with an indent, goes to json.dumps with sorted keys (without an indent
+    json.dumps takes the C encoder; json.dump never does).
     """
     if indent is not None:
         return write_text(path, json.dumps(payload, sort_keys=True, indent=indent) + "\n")
@@ -59,31 +58,15 @@ def write_json(path, payload, indent=None):
         for i, key in enumerate(sorted(payload)):
             yield (b", " if i else b"") + json.dumps(key).encode("utf-8") + b": "
             value = payload[key]
-            if isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim in (1, 2):
-                yield from _json_array(value)
+            if isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == 1:
+                yield b"["
+                yield from _text_blocks(_format_repr, value[:, None], [_SEP_JSON], _SEP_NONE)
+                yield b"]"
             else:
                 yield json.dumps(value, sort_keys=True).encode("utf-8")
         yield b"}\n"
 
     return _write_chunks(path, chunks())
-
-
-def _json_array(values):
-    """The chunks of json.dumps(values.tolist()) for a 1-D or 2-D float64 array."""
-    if values.size <= _SMALL:
-        yield json.dumps(values.tolist()).encode("utf-8")
-        return
-    if values.ndim == 1:
-        yield b"["
-        yield from _text_blocks(_format_repr, values[:, None], [_SEP_JSON], _SEP_NONE)
-        yield b"]"
-        return
-    # rows end in "\n", which becomes the "], [" between lists
-    seps = [_SEP_JSON] * (values.shape[1] - 1) + [_SEP_NEWLINE]
-    yield b"[["
-    for text in _text_blocks(_format_repr, values, seps, _SEP_NONE):
-        yield text.replace(b"\n", b"], [")
-    yield b"]]"
 
 
 def write_csv(path, header, columns):
@@ -164,10 +147,10 @@ def _text_blocks(kernel, data, seps, final=None):
 # underflows.
 
 _BLOCK_VALUES = 4096  # per kernel call: 1024 rows of four columns, or one 4096-sample array
-# Up to this many values the exact step, taken wholesale by one % or one
-# json.dumps, is quicker than the kernel, whose fixed cost is about 70 us
-# (%.17g) or 110 us (repr) a call.  Both cross over at about 256 values
-# (random normal values, 2 columns for CSV; NumPy 2.4, 2-core Xeon).
+# Up to this many values a CSV table takes the exact step wholesale, one %
+# over the table, which is quicker than the kernel's fixed cost of about
+# 70 us a call: they cross over at about 256 values (random normal values in
+# 2 columns; NumPy 2.4, 2-core Xeon).
 _SMALL = 256
 _BOUND = 2.0 ** -44
 _X_LO, _X_HI = 1e-290, 1e290

@@ -503,7 +503,7 @@ def save_curve_csv(curve, path):
 def save_curve_json(curve, path):
     """Write the samples and source tag; returns the sha256 of the bytes written."""
     payload = {
-        "samples": np.column_stack([curve.t, curve.points]),
+        "samples": np.column_stack([curve.t, curve.points]).tolist(),
         "source_tag": curve.source_tag,
     }
     return write_json(path, payload)

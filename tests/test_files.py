@@ -444,19 +444,10 @@ class TestJsonFormatter:
         assert _json_written(tmp_path, values) == _dumps(values)
         assert sorted(map(repr, seen)) == sorted(map(repr, exact))
 
-    @pytest.mark.parametrize("size", [0, 1, _files._SMALL, _files._SMALL + 1, 5000])
-    def test_sizes_either_side_of_the_kernel(self, tmp_path, monkeypatch, size):
+    @pytest.mark.parametrize("size", [0, 1, 2, _files._BLOCK_VALUES, _files._BLOCK_VALUES + 1, 9000])
+    def test_sizes(self, tmp_path, size):
+        # empty, one value, and either side of a block's end
         v = np.random.default_rng(34).normal(size=size)
-        calls = []
-        kernel = _files._format_repr
-        monkeypatch.setattr(_files, "_format_repr", lambda *args: calls.append(1) or kernel(*args))
-        assert _json_written(tmp_path, v) == _dumps(v)
-        assert bool(calls) == (size > _files._SMALL)
-
-    @pytest.mark.parametrize("ncol", [1, 3, 4])
-    def test_rows(self, tmp_path, ncol):
-        v = np.random.default_rng(35).normal(size=(5000, ncol)) * 1e-3
-        v[0, 0] = 0.0
         assert _json_written(tmp_path, v) == _dumps(v)
 
     def test_pulse_json_bytes(self, tmp_path, builtin_pulses):
