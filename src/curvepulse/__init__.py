@@ -29,7 +29,6 @@ from .curves import (
     random_fourier_loop,
     reparameterize_by_arclength,
     save_curve_csv,
-    save_curve_json,
 )
 from .errors import ConvergenceError, CurvePulseError, InputError, NoSolutionError
 from .simulator import (
@@ -43,9 +42,7 @@ from .simulator import (
     square_pulse,
 )
 from .su2 import (
-    EulerAngles,
     Unitary2,
-    angles_from_unitary,
     axis_angle_unitary,
     gate_distance,
     unitary_axis_angle,

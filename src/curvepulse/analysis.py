@@ -24,7 +24,6 @@ from .synthesis import (
     canonical_frame,
     pulses_from_curve,
     read_pulse_file,
-    start_frame,
 )
 
 _DEGEN_TOL = 1e-8
@@ -112,24 +111,19 @@ def curve_from_pulse(pulse, refinement=None):
     )
 
 
-def reconstruct_from_frenet(frenet, r0=None, frame0=None):
+def reconstruct_from_frenet(frenet):
     """Rebuild a curve from its frame data through the pulse it defines.
 
     Curvature and torsion are the envelope and phase velocity of a pulse,
     and the curve is that pulse's interaction-frame trajectory, so the
     rebuild is curve_from_pulse(pulses_from_curve(frenet)): the same
     Magnus4 trajectory as reverse analysis.  That curve starts at the
-    origin in the canonical pose (tangent +z, normal +y) and is moved
-    rigidly onto frame0, whose rows are the start tangent, normal and
-    binormal (default: the first tangent and first valid normal), and onto
-    r0 (default: the origin).  Returns positions on the frame-data grid.
+    origin in the canonical pose (tangent +z, normal +y) and is turned
+    rigidly into the pose of frenet.start.  Returns positions on the
+    frame-data grid.
     """
     points = curve_from_pulse(pulses_from_curve(frenet)).curve.points
-    frame = start_frame(frenet) if frame0 is None else np.asarray(frame0, dtype=float).T
-    points = points @ (frame @ canonical_frame(0.0).T).T
-    if r0 is not None:
-        points += np.asarray(r0, dtype=float)
-    return points
+    return points @ (frenet.start @ canonical_frame(0.0).T).T
 
 
 def robustness_report(pulse, refinement=None):

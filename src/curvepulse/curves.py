@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._files import read_table, write_csv, write_json
-from ._numerics import cumulative_gauss3, fd1, fd2, fd3, pchip
+from . import _accel
+from ._files import read_table, write_csv
+from ._numerics import carried_unwrap, cumulative_gauss3, fd1, fd2, fd3, pchip
 from .errors import InputError
 
 DEFAULT_SAMPLES = 4096
@@ -23,6 +24,8 @@ _DENSE_CAP = 2 ** 22
 _LENGTH_RTOL = 1e-9
 # curvature below this fraction of its mean leaves the normal undefined
 _CURVATURE_FLOOR_REL = 1e-8
+# r'' below this fraction of its peak leaves the drive phase undefined
+_PHASE_FLOOR_REL = 1e-7
 
 SQRT2 = np.sqrt(2.0)
 # random_fourier_loop: Fourier modes 2..5 on the circle, coefficient scale
@@ -79,12 +82,15 @@ class SpaceCurve:
 
 @dataclass(frozen=True)
 class FrenetData:
-    """Per-sample moving frame with curvature and torsion.
+    """Per-sample moving frame with curvature, torsion and drive angle.
 
     Samples where curvature falls below the floor carry normals/torsion
     continued from the nearest valid sample and are marked in `flagged`.
-    The source positions ride along so downstream frame transports do not
-    need the curve object again.
+    `start` holds the columns (t0, n0, t0 x n0): the first tangent and the
+    first valid normal, orthonormalized.  `beta` is the unwrapped angle of
+    r'' in the twist-free frame that starts at n0; the drive phase is
+    phi0 + beta - anchor, where `anchor` is beta at the first sample of
+    `reliable` (the samples where |r''| resolves an angle).
     """
 
     t: np.ndarray
@@ -94,7 +100,10 @@ class FrenetData:
     curvature: np.ndarray
     torsion: np.ndarray
     flagged: np.ndarray
-    points: np.ndarray = None
+    start: np.ndarray
+    beta: np.ndarray
+    reliable: np.ndarray
+    anchor: float
     source_tag: str = "unknown"
 
     @property
@@ -222,15 +231,21 @@ def _nearest_valid(valid):
 
 
 def frenet_data(curve):
-    """Moving frame, curvature = |r''| and torsion of a unit-speed curve."""
+    """Frame, curvature = |r''|, torsion and drive angle of a unit-speed curve.
+
+    One pass of the finite-difference stencils gives the frame, curvature
+    and torsion.  The start frame and the angle of r'' in the twist-free
+    frame (double-reflection transport; Wang, Juettler, Zheng & Liu 2008)
+    follow from the same r'', once the other stencil arrays are released:
+    the drive phase is that angle, so the transport runs once per curve.
+    """
     pts = curve.points
     dt = curve.dt
     rdot = fd1(pts, dt)
     rddot = fd2(pts, dt)
     rdddot = fd3(pts, dt)
 
-    speed = np.linalg.norm(rdot, axis=1)
-    tangent = rdot / speed[:, None]
+    tangent = rdot / np.linalg.norm(rdot, axis=1)[:, None]
     curvature = np.linalg.norm(rddot, axis=1)
     # below the relative floor, or below the rounding noise that second
     # differences amplify by 1/dt^2, the frame direction is meaningless
@@ -253,6 +268,7 @@ def frenet_data(curve):
         keep = across > 4.0 * np.finfo(float).eps
         valid[valid] = keep
         normal[valid] = unit[keep] / across[keep, None]
+        del unit, proj, across, keep
     flagged = ~valid
     nearest = _nearest_valid(valid) if np.any(valid) and np.any(flagged) else None
     if nearest is not None:
@@ -286,7 +302,24 @@ def frenet_data(curve):
     torsion[valid] = np.sum(cross[valid] * rdddot[valid], axis=1) / denom[valid]
     if nearest is not None:
         torsion[flagged] = torsion[nearest]
+    # the transport below allocates its own arrays: release these first
+    del rdot, rdddot, cross, denom
 
+    # start frame (t0, n0, t0 x n0): first tangent and first valid normal
+    t0 = tangent[0]
+    idx = np.flatnonzero(valid)
+    n0 = normal[int(idx[0]) if idx.size else 0]
+    n0 = n0 - (n0 @ t0) * t0
+    n0 /= np.linalg.norm(n0)
+    start = np.stack([t0, n0, np.cross(t0, n0)], axis=1)
+
+    # drive angle: r'' in the twist-free frame transported from n0
+    a, b = _accel.transport_components(pts, tangent, rddot, start[:, 1])
+    mag = np.hypot(a, b)
+    reliable = mag > _PHASE_FLOOR_REL * max(float(mag.max()), 1e-300)
+    beta = carried_unwrap(np.arctan2(b, a), reliable)
+    idx = np.flatnonzero(reliable)
+    anchor = beta[idx[0]] if idx.size else 0.0
     return FrenetData(
         curve.t,
         tangent,
@@ -295,7 +328,10 @@ def frenet_data(curve):
         curvature,
         torsion,
         flagged,
-        curve.points,
+        start,
+        beta,
+        reliable,
+        anchor,
         curve.source_tag,
     )
 
@@ -492,21 +528,12 @@ def random_fourier_loop(seed, n_samples=DEFAULT_SAMPLES):
 
 
 # ---------------------------------------------------------------------------
-# curve file formats: CSV header t,x,y,z and a JSON twin
+# curve file formats: CSV header t,x,y,z; a JSON twin is read, not written
 
 
 def save_curve_csv(curve, path):
     """Write t,x,y,z rows; returns the sha256 of the bytes written."""
     return write_csv(path, "t,x,y,z", [curve.t, curve.points])
-
-
-def save_curve_json(curve, path):
-    """Write the samples and source tag; returns the sha256 of the bytes written."""
-    payload = {
-        "samples": np.column_stack([curve.t, curve.points]).tolist(),
-        "source_tag": curve.source_tag,
-    }
-    return write_json(path, payload)
 
 
 def _curve_json_rows(payload, where):

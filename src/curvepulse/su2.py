@@ -1,13 +1,12 @@
 """Exact 2x2 algebra for SU(2) evolutions.
 
-The column-pair representation ``Unitary2``, the (chi, phi, theta) angle
-parameterization with its degenerate branches, phase-aligned gate
-distances, axis-angle conversions, and the lift of a rotation to SU(2).
+The column-pair representation ``Unitary2``, the unitary of a (chi, phi,
+theta) angle triple, phase-aligned gate distances, axis-angle conversions,
+and the lift of a rotation to SU(2).
 Evolutions themselves step in ``_accel``.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -19,9 +18,8 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY = np.eye(2, dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
-# from_matrix's unitarity bound; angles_from_unitary's degenerate-branch bound
+# from_matrix's unitarity bound
 _UNITARY_TOL = 1e-8
-_DEGEN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -56,40 +54,11 @@ class Unitary2:
         return Unitary2(self.u1 / norm, self.u2 / norm)
 
 
-class EulerAngles(NamedTuple):
-    chi: float
-    phi: float
-    theta: float
-    degenerate: bool = False
-
-
 def unitary_from_angles(chi, phi, theta):
     """Assemble the evolution operator from its (chi, phi, theta) angles."""
     u1 = np.exp(0.5j * (theta + phi)) * np.cos(chi / 2.0)
     u2 = -1j * np.exp(0.5j * (phi - theta)) * np.sin(chi / 2.0)
     return Unitary2(complex(u1), complex(u2))
-
-
-def angles_from_unitary(u):
-    """Recover (chi, phi, theta) with chi in [0, pi].
-
-    At chi = 0 or pi one angle combination is undetermined; a canonical
-    representative is returned with degenerate=True.
-    """
-    w = u if isinstance(u, Unitary2) else Unitary2.from_matrix(u)
-    w = w.normalized()
-    chi = 2.0 * np.arctan2(abs(w.u2), abs(w.u1))
-    if abs(w.u2) < _DEGEN_TOL:
-        # z-rotation: only theta+phi observable; put it all in theta
-        s = float(np.angle(w.u1))
-        return EulerAngles(float(chi), 0.0, 2.0 * s, True)
-    if abs(w.u1) < _DEGEN_TOL:
-        # equator point: only phi-theta observable; theta=0 branch
-        d = float(np.angle(1j * w.u2))
-        return EulerAngles(float(chi), 2.0 * d, 0.0, True)
-    s = float(np.angle(w.u1))
-    d = float(np.angle(1j * w.u2))
-    return EulerAngles(float(chi), s + d, s - d, False)
 
 
 def _su2_pair(u):

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _accel
 from ._files import read_table, write_csv, write_json
 from ._numerics import carried_unwrap, cumtrapz_end_corrected, fd1, fd2
 from .curves import frenet_data
@@ -152,21 +151,6 @@ def _resolve_phi0(phi0):
     return 0.0 if phi0 is None else float(phi0)
 
 
-def _first_valid_normal(frenet):
-    idx = np.flatnonzero(~frenet.flagged)
-    i = int(idx[0]) if idx.size else 0
-    return frenet.normal[i]
-
-
-def start_frame(frenet):
-    """Columns (t0, n0, t0 x n0): first tangent and first valid normal."""
-    t0 = frenet.tangent[0]
-    n0 = _first_valid_normal(frenet)
-    n0 = n0 - (n0 @ t0) * t0
-    n0 /= np.linalg.norm(n0)
-    return np.stack([t0, n0, np.cross(t0, n0)], axis=1)
-
-
 def canonical_frame(phi0):
     """Columns of the start frame of every evolution: +z, its normal, binormal."""
     e1 = np.array([-np.sin(phi0), np.cos(phi0), 0.0])
@@ -179,7 +163,7 @@ def canonicalize_curve(curve, frenet, phi0):
     Returns (points, rotation); curvature/torsion are untouched by
     construction, so the synthesized pulse is identical.
     """
-    rot = canonical_frame(phi0) @ start_frame(frenet).T
+    rot = canonical_frame(phi0) @ frenet.start.T
     pts = (curve.points - curve.points[0]) @ rot.T
     return pts, rot
 
@@ -187,22 +171,12 @@ def canonicalize_curve(curve, frenet, phi0):
 def drive_phase_track(frenet, phi0_val):
     """Accumulated drive phase phi(t) = phi0 + running torsion integral.
 
-    Evaluated as the angle of r'' in a twist-free (parallel-transported)
-    frame, which equals the torsion integral but stays exact across
-    curvature zeros, where the plain quadrature misses the pi flip of the
-    frame.  Returns (phi, reliable_mask).
+    Read off the frame data: the angle of r'' in a twist-free
+    (parallel-transported) frame, which equals the torsion integral but
+    stays exact across curvature zeros, where the plain quadrature misses
+    the pi flip of the frame.  Returns (phi, reliable_mask).
     """
-    if frenet.points is None:
-        raise InputError("frame data carries no source points")
-    rddot = fd2(frenet.points, frenet.dt)
-    m1 = start_frame(frenet)[:, 1]
-    a, b = _accel.transport_components(frenet.points, frenet.tangent, rddot, m1)
-    mag = np.hypot(a, b)
-    ok = mag > _POLE_TOL * max(float(mag.max()), 1e-300)
-    beta = carried_unwrap(np.arctan2(b, a), ok)
-    idx = np.flatnonzero(ok)
-    anchor = beta[idx[0]] if idx.size else 0.0
-    return phi0_val + beta - anchor, ok
+    return phi0_val + frenet.beta - frenet.anchor, frenet.reliable
 
 
 def pulses_from_curve(frenet, phi0=None):

@@ -4,7 +4,6 @@ import pytest
 import curvepulse as cp
 from curvepulse import _accel
 from curvepulse._numerics import fd2
-from curvepulse.synthesis import _first_valid_normal
 
 from conftest import magnus_nested_loop, stadium_rows
 
@@ -195,15 +194,13 @@ class TestPathEquality:
 
     @pytest.mark.parametrize("name", list(TRANSPORT_CURVES))
     def test_transport_paths_agree(self, name, tmp_path):
-        # the inputs drive_phase_track hands the kernel
-        frenet = cp.frenet_data(TRANSPORT_CURVES[name](tmp_path))
-        rddot = fd2(frenet.points, frenet.dt)
-        t0 = frenet.tangent[0]
-        m1 = _first_valid_normal(frenet)
-        m1 = m1 - (m1 @ t0) * t0
-        m1 /= np.linalg.norm(m1)
-        a, b = _accel.transport_components(frenet.points, frenet.tangent, rddot, m1)
-        a_ref, b_ref = _transport_reference(frenet.points, frenet.tangent, rddot, m1)
+        # the inputs frenet_data hands the kernel
+        curve = TRANSPORT_CURVES[name](tmp_path)
+        frenet = cp.frenet_data(curve)
+        rddot = fd2(curve.points, frenet.dt)
+        m1 = frenet.start[:, 1]
+        a, b = _accel.transport_components(curve.points, frenet.tangent, rddot, m1)
+        a_ref, b_ref = _transport_reference(curve.points, frenet.tangent, rddot, m1)
         scale = np.max(np.linalg.norm(rddot, axis=1))
         assert np.max(np.abs(a - a_ref)) <= 1e-12 * scale
         assert np.max(np.abs(b - b_ref)) <= 1e-12 * scale

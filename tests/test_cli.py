@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import curvepulse as cp
-from curvepulse import cli
+from curvepulse import _accel, cli
 from curvepulse._files import write_csv
 from curvepulse.cli import build_parser, main
 
@@ -21,6 +21,19 @@ def tree_hashes(outdir):
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(Path(outdir).iterdir())
     }
+
+
+def count_transports(monkeypatch):
+    """Sample counts of every frame transport from here on."""
+    calls = []
+    inner = _accel.transport_components
+
+    def counting(points, tangent, rddot, m1):
+        calls.append(len(tangent))
+        return inner(points, tangent, rddot, m1)
+
+    monkeypatch.setattr(_accel, "transport_components", counting)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +180,13 @@ class TestSynth:
             "curve_file": hashlib.sha256(curve_file.read_bytes()).hexdigest()
         }
 
+    def test_one_frame_transport(self, tmp_path, monkeypatch):
+        # the drive phase is frame data: the pulse and the gate share it
+        calls = count_transports(monkeypatch)
+        argv = ["synth", "--builtin", "clifford_fig1", "--samples", "1024"]
+        assert main(argv + ["--out", str(tmp_path / "syn")]) == 0
+        assert calls == [1024]
+
     def test_builtin_synth_never_loads_scipy(self, tmp_path):
         # the arc-length inverse is NumPy; only curve files build a spline
         code = (
@@ -266,6 +286,13 @@ class TestSweep:
         assert main(args + ["--refinement", "4", "--out", str(tmp_path / "r4")]) == 0
         assert main(args + ["--out", str(tmp_path / "auto")]) == 0
         assert seen == [4, None]
+
+    def test_from_curve_target_one_frame_transport(self, tmp_path, synth_out, monkeypatch):
+        # the reconstructed curve's frame data are built once, with its phase
+        calls = count_transports(monkeypatch)
+        args = ["sweep", "--pulse-file", str(synth_out / "pulse.csv"), "--target", "from-curve"]
+        assert main(args + ["--grid", "1e-3:4e-2:5", "--out", str(tmp_path / "fc")]) == 0
+        assert calls == [4096]
 
     def test_sweep_with_square_baseline(self, tmp_path, synth_out):
         out = tmp_path / "sweep"

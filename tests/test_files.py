@@ -464,14 +464,6 @@ class TestJsonFormatter:
             assert path.read_bytes() == _old_pulse_json(pulse), name
             assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
-    def test_curve_json_bytes(self, tmp_path):
-        curve = cp.random_fourier_loop(0, n_samples=2048)
-        path = tmp_path / "curve.json"
-        cp.save_curve_json(curve, path)
-        samples = np.column_stack([curve.t, curve.points]).tolist()
-        want = json.dumps({"samples": samples, "source_tag": curve.source_tag}, sort_keys=True)
-        assert path.read_bytes() == (want + "\n").encode()
-
     def test_other_payloads_unchanged(self, tmp_path):
         v = np.linspace(0.0, 1.0, 1000)
         for payload, indent in [({}, None), ({"b": 1, "a": [0.5]}, None),

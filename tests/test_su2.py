@@ -47,35 +47,6 @@ class TestStepPropagator:
             assert np.max(np.abs(got - want)) < 1e-12
 
 
-class TestAngles:
-    def test_identity_is_canonical_origin(self):
-        ang = cp.angles_from_unitary(np.eye(2))
-        assert ang.chi == 0.0
-        assert ang.phi == -ang.theta == 0.0
-        assert ang.degenerate
-
-    def test_equator_point_theta_zero_branch(self):
-        ang = cp.angles_from_unitary(-1j * SIGMA_X)
-        assert abs(ang.chi - np.pi) < 1e-12
-        assert ang.theta == 0.0
-        assert ang.degenerate
-
-    def test_roundtrip_specific_triple(self):
-        chi, phi, theta = 1.1, 0.3, -0.7
-        ang = cp.angles_from_unitary(cp.unitary_from_angles(chi, phi, theta))
-        assert abs(ang.chi - chi) < 1e-10
-        assert abs(ang.phi - phi) < 1e-10
-        assert abs(ang.theta - theta) < 1e-10
-
-    def test_roundtrip_random_unitaries(self):
-        rng = np.random.default_rng(0)
-        for _ in range(1000):
-            u = random_special_unitary(rng)
-            ang = cp.angles_from_unitary(u)
-            back = cp.unitary_from_angles(ang.chi, ang.phi, ang.theta)
-            assert cp.gate_distance(back, u) < 1e-10
-
-
 class TestPauli:
     def test_conjugated_z_rotates_to_y(self):
         # the curve velocity is the Pauli vector of U^dag sz U

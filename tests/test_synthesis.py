@@ -5,7 +5,6 @@ import curvepulse as cp
 from curvepulse._numerics import fd1
 from curvepulse.errors import InputError, NoSolutionError
 from curvepulse.synthesis import gate_from_frame
-from curvepulse.su2 import angles_from_unitary
 
 from conftest import helix_curve, stadium_rows
 
