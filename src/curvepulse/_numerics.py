@@ -1,4 +1,5 @@
-"""Finite-difference stencils and quadrature helpers on uniform grids.
+"""Finite-difference stencils and quadrature helpers on uniform grids, and
+the two cubic interpolants the curves need (PCHIP and a not-a-knot spline).
 
 Interior derivatives use five-point central stencils; the two rows at each
 end use six-point one-sided stencils (Fornberg weights) so boundary values
@@ -228,3 +229,106 @@ def pchip(x, y, xq):
     s = xq - x[i]
     s2 = s * s
     return ((y[i] + d0 * s) + c2 * s2) + c3 * (s2 * s)
+
+
+def _cyclic_reduction(lo, diag, up, rhs):
+    """Solve a strictly diagonally dominant tridiagonal system.
+
+    Row i reads lo[i] u[i-1] + diag[i] u[i] + up[i] u[i+1] = rhs[i]; lo[0]
+    and up[-1] are never read.  Each level eliminates the odd-numbered
+    unknowns from the even-numbered rows, halving the system, so about
+    log2(n) vectorized passes solve it; dominance keeps every pivot away
+    from zero without pivoting.  rhs may carry trailing columns.
+    """
+    levels = []
+    while diag.size > 1:
+        m = diag.size
+        k, q = (m + 1) // 2, m // 2
+        b_odd = diag[1::2]
+        # row 2j takes -lo/b of odd row 2j-1 and -up/b of odd row 2j+1
+        left = -lo[2::2] / b_odd[: k - 1]
+        right = -up[0::2][:q] / b_odd
+        lo_n = np.zeros(k)
+        up_n = np.zeros(k)
+        diag_n = diag[0::2].copy()
+        rhs_n = rhs[0::2].copy()
+        diag_n[1:] += left * up[1::2][: k - 1]
+        diag_n[:q] += right * lo[1::2]
+        lo_n[1:] = left * lo[1::2][: k - 1]
+        up_n[:q] = right * up[1::2]
+        rhs_n[1:] += left[:, None] * rhs[1::2][: k - 1]
+        rhs_n[:q] += right[:, None] * rhs[1::2]
+        levels.append((lo, diag, up, rhs))
+        lo, diag, up, rhs = lo_n, diag_n, up_n, rhs_n
+    u = rhs / diag[0]
+    for lo, diag, up, rhs in reversed(levels):
+        m, k = diag.size, u.shape[0]
+        q = m // 2
+        full = np.empty((m,) + rhs.shape[1:])
+        full[0::2] = u
+        odd = rhs[1::2] - lo[1::2][:, None] * u[:q]
+        odd[: k - 1] -= up[1::2][: k - 1, None] * u[1:]
+        full[1::2] = odd / diag[1::2][:, None]
+        u = full
+    return u
+
+
+def not_a_knot_spline(x, y):
+    """Cubic spline through (x, y) with not-a-knot ends, as a callable.
+
+    x must be strictly increasing with at least four knots; y has shape
+    (len(x), c).  The end conditions and interior equations are those of
+    scipy.interpolate.CubicSpline's default: the third derivative is
+    continuous at x[1] and x[-2], and the knot slopes solve the usual
+    tridiagonal system.  The two not-a-knot rows are folded into their
+    neighbours, which leaves a strictly diagonally dominant system for
+    _cyclic_reduction.  The callable maps sorted or unsorted points to a
+    (len, c) array; intervals are half-open [x_i, x_{i+1}) with the last
+    one closed, and points outside [x_0, x_-1] extend the end cubics.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    dx = np.diff(x)
+    slope = np.diff(y, axis=0) / dx[:, None]
+    # interior rows i = 1 .. n-2 of the slope system, unknowns s_1 .. s_{n-2}
+    lo, up = dx[1:], dx[:-1]
+    diag = 2.0 * (dx[:-1] + dx[1:])
+    rhs = 3.0 * (dx[1:, None] * slope[:-1] + dx[:-1, None] * slope[1:])
+    # not-a-knot rows: dx1 s0 + d0 s1 = b0 and d1 s_{n-2} + dx_{n-3} s_{n-1} = b1
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    b0 = ((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+    b1 = (dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+    # fold them in: subtracting row 0 from row 1 removes s0, and row n-1
+    # from row n-2 removes s_{n-1}; both folded rows keep diag > off-diagonal
+    diag[0] = d0
+    rhs[0] -= b0
+    diag[-1] = d1
+    rhs[-1] -= b1
+    s = np.empty_like(y)
+    s[1:-1] = _cyclic_reduction(lo, diag, up, rhs)
+    s[0] = (b0 - d0 * s[1]) / dx[1]
+    s[-1] = (b1 - d1 * s[-2]) / dx[-2]
+    # power-basis coefficients, highest degree first, as (4, c, n - 1) so
+    # that evaluation runs along contiguous rows
+    t = (s[:-1] + s[1:] - 2.0 * slope) / dx[:, None]
+    coef = np.stack(
+        [t / dx[:, None], (slope - s[:-1]) / dx[:, None] - t, s[:-1], y[:-1]]
+    ).transpose(0, 2, 1).copy()
+    last = x.size - 2
+
+    def spline(xq):
+        xq = np.asarray(xq, dtype=float)
+        i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, last)
+        c = np.take(coef, i, axis=2)
+        h = xq - x[i]
+        out = np.empty((xq.size, coef.shape[1]))
+        v = out.T
+        np.multiply(c[0], h, out=v)
+        v += c[1]
+        v *= h
+        v += c[2]
+        v *= h
+        v += c[3]
+        return out
+
+    return spline

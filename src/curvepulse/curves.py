@@ -13,7 +13,15 @@ import numpy as np
 
 from . import _accel
 from ._files import read_table, write_csv
-from ._numerics import carried_unwrap, cumulative_gauss3, fd1, fd2, fd3, pchip
+from ._numerics import (
+    carried_unwrap,
+    cumulative_gauss3,
+    fd1,
+    fd2,
+    fd3,
+    not_a_knot_spline,
+    pchip,
+)
 from .errors import InputError
 
 DEFAULT_SAMPLES = 4096
@@ -543,19 +551,25 @@ def _curve_json_rows(payload, where):
 
 
 def load_curve(path, n_samples=DEFAULT_SAMPLES):
-    """Load a curve file (CSV or JSON) and reparameterize it by arc length."""
+    """Load a curve file (CSV or JSON) and reparameterize it by arc length.
+
+    The rows are joined by a not-a-knot cubic spline in their own t (the
+    end conditions of scipy's default CubicSpline, solved in NumPy), and
+    that spline is resampled at n_samples points of uniform arc length.
+    """
     return _load_curve_hashed(path, n_samples)[0]
 
 
 def _load_curve_hashed(path, n_samples):
-    """load_curve's curve, with the sha256 of the file bytes it parsed."""
-    from scipy.interpolate import CubicSpline
+    """load_curve's curve, with the sha256 of the file bytes it parsed.
 
+    read_table guarantees at least 8 rows with strictly increasing t, which
+    not_a_knot_spline needs.
+    """
     table = read_table(path, "t,x,y,z", 8, _curve_json_rows)
     tag = "file" if table.payload is None else table.payload.get("source_tag", "file")
     t_in, pts = table.data[:, 0], table.data[:, 1:]
-    spline = CubicSpline(t_in, pts, axis=0)
     curve = reparameterize_by_arclength(
-        spline, (t_in[0], t_in[-1]), n_samples, source_tag=tag
+        not_a_knot_spline(t_in, pts), (t_in[0], t_in[-1]), n_samples, source_tag=tag
     )
     return curve, table.sha256

@@ -197,6 +197,18 @@ class TestSynth:
         )
         subprocess.run([sys.executable, "-c", code], env=python_env(), check=True)
 
+    def test_curve_file_synth_never_loads_scipy(self, tmp_path):
+        # the spline through a curve file's rows is NumPy as well
+        curve_file = tmp_path / "loop.csv"
+        cp.save_curve_csv(cp.random_fourier_loop(3, n_samples=256), curve_file)
+        code = (
+            "import sys; import curvepulse.cli as cli;"
+            f"assert cli.main(['synth', '--curve-file', {str(curve_file)!r}, '--samples', '1024',"
+            f" '--out', {str(tmp_path / 'syn')!r}]) == 0;"
+            "assert 'scipy' not in sys.modules, 'synth'"
+        )
+        subprocess.run([sys.executable, "-c", code], env=python_env(), check=True)
+
 
 class TestAnalyze:
     def test_classification_outputs(self, tmp_path):
@@ -378,6 +390,23 @@ class TestSweep:
         assert fit["last_delta"] > 1e-8
         assert main(argv + ["--certify", "--out", str(tmp_path / "strict")]) == 3
         assert "not converged at refinement 1" in capsys.readouterr().err
+
+
+def test_commands_run_with_scipy_blocked(tmp_path):
+    # scipy is a test dependency only: with its import made to fail, a curve
+    # file is synthesized, and the pulse analyzed and swept
+    curve_file = tmp_path / "clifford.csv"
+    cp.save_curve_csv(cp.builtin_curve("clifford_fig1", n_samples=512), curve_file)
+    syn, pulse_file = tmp_path / "syn", tmp_path / "syn" / "pulse.csv"
+    code = (
+        "import sys; sys.modules['scipy'] = None; import curvepulse.cli as cli;"
+        f"assert cli.main(['synth', '--curve-file', {str(curve_file)!r}, '--out', {str(syn)!r}]) == 0;"
+        f"assert cli.main(['analyze', '--pulse-file', {str(pulse_file)!r},"
+        f" '--out', {str(tmp_path / 'an')!r}]) == 0;"
+        f"assert cli.main(['sweep', '--pulse-file', {str(pulse_file)!r}, '--target', 'from-curve',"
+        f" '--compare', 'square', '--out', {str(tmp_path / 'sw')!r}]) == 0"
+    )
+    subprocess.run([sys.executable, "-c", code], env=python_env(), check=True)
 
 
 class TestArgumentValidation:

@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 
 import curvepulse as cp
 from curvepulse import curves
-from curvepulse._numerics import _pchip_slopes, fd1, fd2, fd3, pchip
+from curvepulse._numerics import _pchip_slopes, fd1, fd2, fd3, not_a_knot_spline, pchip
 from curvepulse.curves import (
     _nearest_valid,
     _sphere_loop_and_velocity,
@@ -116,6 +116,31 @@ class TestPchip:
         xq = np.linspace(0.0, 3.0, 61)
         self.assert_matches_scipy(x, y, xq)
         self.assert_matches_scipy(x, -y[::-1], xq)
+
+
+class TestNotAKnotSpline:
+    """The NumPy not-a-knot spline against scipy's CubicSpline."""
+
+    @pytest.mark.parametrize("knots", ["uniform", "random"])
+    @pytest.mark.parametrize("n", [8, 9, 33, 2048, 2049, 5000])
+    def test_matches_scipy(self, n, knots):
+        rng = np.random.default_rng(n)
+        if knots == "uniform":
+            x = np.linspace(-1.0, 2.0, n)
+        else:
+            # spacings within a factor of ten of each other: on clustered
+            # knots both solves lose digits to the conditioning of the system
+            x = np.cumsum(rng.uniform(0.1, 1.0, n))
+            x *= 3.0 / x[-1]
+        y = np.column_stack([np.sin(3.0 * x), np.cos(x) + x * x, rng.normal(size=n)])
+        # every knot, one point inside every interval, both ends and half a
+        # step beyond each end (the end cubics extended)
+        inside = x[:-1] + rng.uniform(0.0, 1.0, n - 1) * np.diff(x)
+        beyond = x[[0, -1]] + np.array([-0.5, 0.5]) * (x[1] - x[0])
+        xq = np.concatenate([x, inside, x[[0, -1]], beyond])
+        got = not_a_knot_spline(x, y)(xq)
+        want = CubicSpline(x, y, axis=0)(xq)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(y))
 
 
 class TestReparameterize:
@@ -255,7 +280,7 @@ class TestReparameterize:
             span = (0.0, 2 * np.pi)
         else:  # the cubic spline load_curve fits through a file's rows
             rows = cp.random_fourier_loop(5, n_samples=512)
-            sampler, span = CubicSpline(rows.t, rows.points, axis=0), (0.0, rows.t[-1])
+            sampler, span = not_a_knot_spline(rows.t, rows.points), (0.0, rows.t[-1])
         got = cp.reparameterize_by_arclength(sampler, span, 2048)
         want_t, want_points = _full_grid_reparameterize(sampler, span, 2048)
         assert np.array_equal(got.t, want_t)
