@@ -2,10 +2,15 @@
 the twist-free frame transport.
 
 Every SU(2) evolution steps with one fourth-order Magnus step over
-node-sampled Pauli coefficients (``_magnus4_factors``).  ``su2_product``
-forms only the final product, for one Hamiltonian or a batch of them: it
-reduces cache-sized blocks of steps pairwise and chains the blocks in
-order.  ``su2_trajectory`` forms every prefix by a blocked NumPy scan.
+node-sampled Pauli coefficients (``_magnus4_factors``).  Noise rows that
+are constant along the nodes share the drive's terms of that step, formed
+once per block, and each row adds its value times them.  The step
+exponential takes cos a and sin(a)/a as even series in a^2 = |heff|^2,
+cut at the block's largest a^2; a block with a step angle past 0.5 rad
+takes libm's sin and cos.  ``su2_product`` forms only the final product,
+for one Hamiltonian or a batch of them: it reduces cache-sized blocks of
+steps pairwise and chains the blocks in order.  ``su2_trajectory`` forms
+every prefix by a blocked NumPy scan.
 The frame transport is a single vectorized NumPy kernel.  The nested
 Magnus sum is an O(N^2) test oracle (``simulator.magnus_errors`` runs it
 only when asked with nested=True), vectorized per row in NumPy.  Every
@@ -15,6 +20,9 @@ State convention: a special-unitary 2x2 matrix is carried as the complex
 pair (u1, u2) with matrix [[u1, -conj(u2)], [u2, conj(u1)]].  One step
 with effective Pauli vector heff is the exact exponential exp(-i heff.sigma).
 """
+
+import bisect
+import math
 
 import numpy as np
 
@@ -29,6 +37,16 @@ __all__ = [
 # working set is about 72 B per factor, so about 2.3 MiB
 _BLOCK_FACTORS = 1 << 15
 
+# cos(a) and sin(a)/a are series in a^2 up to this a^2 (a = 0.5 rad per step)
+_SERIES_MAX_A2 = 0.25
+# Taylor coefficients of cos(a) and sin(a)/a in a^2: (-1)^k/(2k)!, (-1)^k/(2k+1)!
+_COS_TERMS = tuple((-1) ** k / math.factorial(2 * k) for k in range(8))
+_SINC_TERMS = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(8))
+# terms k < K serve every a2 below _SERIES_LIMITS[K - 1], where the first
+# dropped term a2^K/(2K)! falls to 2^-60; K = 8 serves all of _SERIES_MAX_A2,
+# and at least the a2 term is always kept
+_SERIES_LIMITS = tuple((2.0**-60 * math.factorial(2 * k)) ** (1.0 / k) for k in range(1, 8))
+
 # always False: kept only for perfbench/run.py environment(), which records them
 HAVE_NUMBA = USE_NUMBA = False
 
@@ -37,31 +55,63 @@ def _prep(*arrays):
     return tuple(np.ascontiguousarray(a, dtype=np.float64) for a in arrays)
 
 
-def _magnus4_factors(hx, hy, hz, dt):
+def _magnus4_factors(hx, hy, hz, dt, out=None):
     # Step factors (s1, s2) of exp(-i heff.sigma) for each node interval
     # along the last axis, with the two-node fourth-order Magnus log
     # heff = dt*(h_k + h_{k+1})/2 - dt^2/6 * (h_k x h_{k+1}), which is exact
     # to O(dt^5) for a Hamiltonian linear in t.  The h arrays broadcast, so
     # a batch axis on one of them gives one row of factors per batch entry.
+    # The factors are written into out[0] and out[1] when given.
+    # An hz whose last axis has length 1 is constant along the nodes, one
+    # value per row: heff is then the drive-only terms plus hz times the
+    # noise coefficients, both formed once for all rows.
     x0, x1 = hx[..., :-1], hx[..., 1:]
     y0, y1 = hy[..., :-1], hy[..., 1:]
-    z0, z1 = hz[..., :-1], hz[..., 1:]
     half = 0.5 * dt
     c6 = dt * dt / 6.0
     # x and z are carried negated (nx = -heff_x, nz = -heff_z): the factors
     # take them with that sign, and the norm does not see it
-    nx = c6 * (y0 * z1 - z0 * y1) - half * (x0 + x1)
-    my = half * (y0 + y1) - c6 * (z0 * x1 - x0 * z1)
-    nz = c6 * (x0 * y1 - y0 * x1) - half * (z0 + z1)
-    a = np.sqrt(nx * nx + my * my + nz * nz)
-    snc = np.divide(np.sin(a), a, out=np.ones_like(a), where=a > 0.0)
-    s1 = np.empty(a.shape, dtype=np.complex128)
-    s2 = np.empty(a.shape, dtype=np.complex128)
-    np.cos(a, out=s1.real)
+    if hz.shape[-1] == 1:
+        nx = hz * (c6 * (y0 - y1))
+        nx += -half * (x0 + x1)
+        my = hz * (c6 * (x0 - x1))
+        my += half * (y0 + y1)
+        nz = c6 * (x0 * y1 - y0 * x1) - dt * hz
+    else:
+        z0, z1 = hz[..., :-1], hz[..., 1:]
+        nx = c6 * (y0 * z1 - z0 * y1) - half * (x0 + x1)
+        my = half * (y0 + y1) - c6 * (z0 * x1 - x0 * z1)
+        nz = c6 * (x0 * y1 - y0 * x1) - half * (z0 + z1)
+    c, snc = _cos_sinc(nx * nx + my * my + nz * nz)
+    if out is None:
+        out = np.empty((2,) + c.shape, dtype=np.complex128)
+    s1, s2 = out
+    s1.real = c
     np.multiply(snc, nz, out=s1.imag)
     np.multiply(snc, my, out=s2.real)
     np.multiply(snc, nx, out=s2.imag)
     return s1, s2
+
+
+def _cos_sinc(a2):
+    # cos(a) and sin(a)/a from a2 = a^2.  Up to a2 = _SERIES_MAX_A2 both are
+    # even Taylor series in a2, cut where the first dropped term is below
+    # 2^-60 at the largest a2; past it, libm's sin and cos of sqrt(a2).
+    top = float(a2.max(initial=0.0))
+    if top > _SERIES_MAX_A2:
+        a = np.sqrt(a2)
+        return np.cos(a), np.divide(np.sin(a), a, out=np.ones_like(a), where=a > 0.0)
+    k = max(1, bisect.bisect_right(_SERIES_LIMITS, top))
+    c = a2 * _COS_TERMS[k]
+    snc = a2 * _SINC_TERMS[k]
+    for j in range(k - 1, 0, -1):
+        c += _COS_TERMS[j]
+        c *= a2
+        snc += _SINC_TERMS[j]
+        snc *= a2
+    c += 1.0
+    snc += 1.0
+    return c, snc
 
 
 def _compose(b1, b2, a1, a2):
@@ -90,6 +140,16 @@ def su2_product(hx, hy, hz, dt):
     is formed.  hx and hy are 1-D.  A 1-D hz gives (u1, u2) as complex
     numbers; an hz with a leading batch axis (one row per Hamiltonian, for
     instance one row per noise value) gives one (u1, u2) per row as arrays.
+    An hz whose last axis has length 1 is constant along the nodes (hz of
+    shape (1,) or (B, 1)): each block then forms the drive-only terms of
+    the Magnus log, -dt/2 (x0 + x1), dt/2 (y0 + y1) and
+    dt^2/6 (x0 y1 - y0 x1), and the noise coefficients dt^2/6 (y0 - y1),
+    dt^2/6 (x0 - x1) and -dt once, and each row adds its hz times them.
+    The step exponential needs cos a and sin(a)/a of a^2 = |heff|^2: up to
+    a^2 = 1/4 both are even Taylor series in a^2, with as many terms as put
+    the first dropped one, a^(2K)/(2K)! at the block's largest a^2, below
+    2^-60 (at most eight); a block with a larger a^2 takes libm's sin and
+    cos of sqrt(a^2), the only exact path for coarse pulses.
     The steps are taken in blocks of about _BLOCK_FACTORS factors over all
     rows: each block's factors are built, reduced pairwise and folded into
     a running product, so the working set stays cache-sized whatever the
@@ -101,12 +161,19 @@ def su2_product(hx, hy, hz, dt):
     hz = np.asarray(hz, dtype=np.float64)
     dt = float(dt)
     rows = np.atleast_2d(hz)
+    constant = rows.shape[1] == 1
     steps = max(1, _BLOCK_FACTORS // rows.shape[0])
     u1 = np.ones(rows.shape[0], dtype=np.complex128)
     u2 = np.zeros(rows.shape[0], dtype=np.complex128)
-    for k in range(0, hx.shape[0] - 1, steps):
+    # one buffer takes every block's factors: a fresh pair per block let
+    # glibc trim the heap after each block and fault it back in the next
+    n_steps = hx.shape[0] - 1
+    factors = np.empty((2, rows.shape[0], min(steps, n_steps)), dtype=np.complex128)
+    for k in range(0, n_steps, steps):
         nodes = slice(k, k + steps + 1)
-        b1, b2 = _pairwise_product(*_magnus4_factors(hx[nodes], hy[nodes], rows[:, nodes], dt))
+        hz_block = rows if constant else rows[:, nodes]
+        out = factors[..., : min(steps, n_steps - k)]
+        b1, b2 = _pairwise_product(*_magnus4_factors(hx[nodes], hy[nodes], hz_block, dt, out))
         u1, u2 = _compose(b1, b2, u1, u2)
     norm = np.sqrt(np.abs(u1) ** 2 + np.abs(u2) ** 2)
     u1, u2 = u1 / norm, u2 / norm

@@ -83,6 +83,16 @@ class RobustnessReport:
         }
 
 
+def _pulse_curve(pulse, refinement=None):
+    # the pulse's interaction-frame curve on its own grid, and the
+    # trajectory it was read off (see simulator._interaction_curve); callers
+    # that need only the curve skip the phase tracks and Magnus integrals
+    trajectory = _interaction_curve(pulse, refinement)
+    _, _, _, positions, _, step = trajectory
+    curve = SpaceCurve(pulse.t.copy(), positions[::step], source_tag="reconstructed")
+    return curve, trajectory
+
+
 def curve_from_pulse(pulse, refinement=None):
     """Integrate the noise axis of a pulse into its space curve.
 
@@ -94,7 +104,7 @@ def curve_from_pulse(pulse, refinement=None):
     """
     if not isinstance(pulse, PulseWaveform):
         raise InputError("curve_from_pulse expects a PulseWaveform")
-    u1, u2, v, positions, dt, step = _interaction_curve(pulse, refinement)
+    curve, (u1, u2, v, positions, dt, step) = _pulse_curve(pulse, refinement)
     speed_err = float(np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)))
 
     # phase tracks: arg(u1) = (theta+phi)/2, arg(i u2) = (phi-theta)/2
@@ -104,7 +114,6 @@ def curve_from_pulse(pulse, refinement=None):
     theta = a_sum - a_diff
     phi_angle = a_sum + a_diff
 
-    curve = SpaceCurve(pulse.t.copy(), positions[::step], source_tag="reconstructed")
     magnus = _magnus_from(v, positions, dt)
     return ReconstructionResult(
         curve, theta[::step], phi_angle[::step], speed_err, step, magnus
@@ -116,13 +125,13 @@ def reconstruct_from_frenet(frenet):
 
     Curvature and torsion are the envelope and phase velocity of a pulse,
     and the curve is that pulse's interaction-frame trajectory, so the
-    rebuild is curve_from_pulse(pulses_from_curve(frenet)): the same
-    Magnus4 trajectory as reverse analysis.  That curve starts at the
-    origin in the canonical pose (tangent +z, normal +y) and is turned
-    rigidly into the pose of frenet.start.  Returns positions on the
-    frame-data grid.
+    rebuild is the curve of pulses_from_curve(frenet): the same Magnus4
+    trajectory as reverse analysis, without its phase tracks and Magnus
+    integrals.  That curve starts at the origin in the canonical pose
+    (tangent +z, normal +y) and is turned rigidly into the pose of
+    frenet.start.  Returns positions on the frame-data grid.
     """
-    points = curve_from_pulse(pulses_from_curve(frenet)).curve.points
+    points = _pulse_curve(pulses_from_curve(frenet))[0].points
     return points @ (frenet.start @ canonical_frame(0.0).T).T
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import __version__
 from ._files import write_csv, write_json
-from .analysis import curve_from_pulse, import_external_pulse, robustness_report
+from .analysis import _pulse_curve, import_external_pulse, robustness_report
 from .curves import (
     BUILTIN_CURVES,
     _load_curve_hashed,
@@ -180,9 +180,18 @@ def cmd_analyze(args):
 def _parse_target(tokens, pulse, refinement):
     if not tokens or tokens == ["from-curve"]:
         if tokens:
-            rec = curve_from_pulse(pulse, refinement=refinement)
-            gate = target_gate_from_curve(rec.curve, phi0=float(pulse.phi[0]))
-            return gate.unitary, {"kind": "from-curve", "angle": gate.angle}
+            # index, not unpack: the trajectory is released before the gate is read
+            curve = _pulse_curve(pulse, refinement)[0]
+            gate = target_gate_from_curve(curve, phi0=float(pulse.phi[0]))
+            if "non_robust_open_curve" in gate.flags:
+                print(
+                    f"warning: from-curve target read off an open curve (closure residual "
+                    f"{curve.closure_residual():.3e}): the curve cancels no noise and its "
+                    "gate readout can move with the rounding of its points",
+                    file=sys.stderr,
+                )
+            info = {"kind": "from-curve", "angle": gate.angle, "flags": list(gate.flags)}
+            return gate.unitary, info
         return None, {"kind": "self"}
     fields = {}
     for tok in tokens:

@@ -73,8 +73,9 @@ class MagnusErrors:
 
 
 def _substep_nodes(pulse, delta_beta, refinement):
-    # Pauli coefficients at the substep nodes; a 1-D delta_beta gives hz one
-    # row per noise value, as a broadcast view that allocates no rows
+    # Pauli coefficients at the substep nodes.  The noise is constant along
+    # the nodes, so hz is a column: shape (1,) for a scalar delta_beta, and
+    # (B, 1), one row per noise value, for a 1-D one
     if refinement < 1:
         raise InputError("refinement must be >= 1")
     if pulse.detuning is not None and np.any(pulse.detuning != 0.0):
@@ -88,8 +89,7 @@ def _substep_nodes(pulse, delta_beta, refinement):
     t_nodes = np.arange(total) * dt
     wx = np.interp(t_nodes, pulse.t, pulse.omega_x)
     wy = np.interp(t_nodes, pulse.t, pulse.omega_y)
-    db = np.asarray(delta_beta, dtype=float)
-    hz = np.broadcast_to(db[..., None], db.shape + (total,))
+    hz = np.asarray(delta_beta, dtype=float)[..., None]
     return 0.5 * wx, 0.5 * wy, hz, dt
 
 
@@ -135,9 +135,12 @@ def propagate(pulse, delta_beta=0.0, refinement=None, certify=False):
 
     Each substep is one fourth-order Magnus step over the node-sampled
     Hamiltonian, exact for a constant drive and accurate to O(dt^4) for the
-    linearly interpolated one.  With refinement=None the substep count per
-    sample interval is doubled until the result moves by less than 1e-8
-    (phase-aligned), up to MAX_REFINEMENT.  certify=True returns
+    linearly interpolated one.  The noise enters each step through the
+    drive's shared Magnus terms, and the step exponential is a series in
+    the squared step angle up to 0.5 rad per step and libm's sin and cos
+    past it (``_accel.su2_product``).  With refinement=None the substep
+    count per sample interval is doubled until the result moves by less
+    than 1e-8 (phase-aligned), up to MAX_REFINEMENT.  certify=True returns
     (unitary, certificate); with a given refinement r the r result is
     returned, certified by its change at 2r, as in infidelity_sweep.
     """

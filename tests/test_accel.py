@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -147,9 +149,12 @@ class TestPathEquality:
     def test_batched_product_matches_rows(self, step_fields):
         # a batch of hz rows gives the same (u1, u2) as one product per row;
         # over 40 rows the 4999 steps span six full blocks and a partial one,
-        # while each single row fits in one block
+        # while each single row fits in one block.  Rows constant along the
+        # nodes, passed as a column, take the shared drive terms and match
+        # both one single-row call each and the sequential reference.
         hx, hy, hz, dt = step_fields
-        rows = hz[None, :] + np.linspace(-1.0, 1.0, 40)[:, None]
+        noise = np.linspace(-1.0, 1.0, 40)[:, None]
+        rows = hz[None, :] + noise
         block = _accel._BLOCK_FACTORS // rows.shape[0]
         assert block < hx.size - 1 and (hx.size - 1) % block
         u1, u2 = _accel.su2_product(hx, hy, rows, dt)
@@ -158,6 +163,16 @@ class TestPathEquality:
             b1, b2 = _accel.su2_product(hx, hy, rows[i], dt)
             assert abs(u1[i] - b1) < 1e-13
             assert abs(u2[i] - b2) < 1e-13
+        c1, c2 = _accel.su2_product(hx, hy, noise, dt)
+        assert c1.shape == c2.shape == (noise.shape[0],)
+        for i in range(noise.shape[0]):
+            b1, b2 = _accel.su2_product(hx, hy, noise[i], dt)
+            assert abs(c1[i] - b1) < 1e-13
+            assert abs(c2[i] - b2) < 1e-13
+        for i in (0, 13, 39):
+            r1, r2 = _trajectory_reference(hx, hy, np.full(hx.size, noise[i, 0]), dt)
+            assert abs(c1[i] - r1[-1]) < 1e-12
+            assert abs(c2[i] - r2[-1]) < 1e-12
 
     def test_trajectory_paths_agree(self, step_fields):
         # 32761 nodes give 32760 steps, not a perfect square, so the last
@@ -204,3 +219,41 @@ class TestPathEquality:
         scale = np.max(np.linalg.norm(rddot, axis=1))
         assert np.max(np.abs(a - a_ref)) <= 1e-12 * scale
         assert np.max(np.abs(b - b_ref)) <= 1e-12 * scale
+
+
+class TestStepExponential:
+    def test_series_matches_libm(self):
+        # cos(a) and sin(a)/a from the series in a^2, each value at the
+        # degree its own a^2 selects, within 2 ulp of libm over [0, 1/4]
+        a2 = np.concatenate(
+            [
+                np.linspace(0.0, _accel._SERIES_MAX_A2, 2001),
+                np.geomspace(1e-20, _accel._SERIES_MAX_A2, 400),
+                np.outer(_accel._SERIES_LIMITS, [1.0 - 1e-12, 1.0 + 1e-12]).ravel(),
+            ]
+        )
+        a2 = a2[a2 <= _accel._SERIES_MAX_A2]
+        got = np.array([_accel._cos_sinc(np.array([v])) for v in a2])[:, :, 0]
+        a = np.sqrt(a2)
+        want_cos = np.cos(a)
+        want_sinc = np.divide(np.sin(a), a, out=np.ones_like(a), where=a > 0.0)
+        assert np.all(np.abs(got[:, 0] - want_cos) <= 2 * np.spacing(want_cos))
+        assert np.all(np.abs(got[:, 1] - want_sinc) <= 2 * np.spacing(want_sinc))
+
+    def test_series_degree_rule(self):
+        # terms k < K serve a^2 up to the K-th limit, where the first dropped
+        # term a^(2K)/(2K)! reaches 2^-60; eight terms serve all of [0, 1/4]
+        for k, top in enumerate(_accel._SERIES_LIMITS, start=1):
+            assert abs(top**k / math.factorial(2 * k) / 2.0**-60 - 1.0) < 1e-12
+        assert _accel._SERIES_LIMITS[-1] < _accel._SERIES_MAX_A2
+        assert _accel._SERIES_MAX_A2**8 / math.factorial(16) < 2.0**-60
+
+    def test_coarse_pulse_takes_libm_form(self):
+        # 8 samples of a 6 pi square pulse: about 1.35 rad per step, past the
+        # series range, and still the exact x rotation by 6 pi
+        pulse = cp.square_pulse(2.0, angle=6 * np.pi, n_samples=8)
+        step = 6 * np.pi / (pulse.n_samples - 1) / 2
+        assert step**2 > _accel._SERIES_MAX_A2
+        u = cp.propagate(pulse, 0.0, refinement=1)
+        want = cp.axis_angle_unitary([1.0, 0.0, 0.0], 6 * np.pi)
+        assert cp.gate_distance(u, want) < 1e-14

@@ -284,20 +284,35 @@ class TestAnalyze:
 class TestSweep:
     def test_from_curve_target_uses_refinement(self, tmp_path, synth_out, monkeypatch):
         # the target curve is evolved at the sweep's --refinement, and at
-        # the default refinement when none is given
+        # the default refinement when none is given, by the curve-only
+        # helper: no phase tracks or Magnus integrals are formed
         seen = []
-        inner = cli.curve_from_pulse
+        inner = cli._pulse_curve
 
         def recording(pulse, refinement=None):
             seen.append(refinement)
-            return inner(pulse, refinement=refinement)
+            return inner(pulse, refinement)
 
-        monkeypatch.setattr(cli, "curve_from_pulse", recording)
+        def unused(*args, **kwargs):
+            raise AssertionError("curve_from_pulse called")
+
+        monkeypatch.setattr(cli, "_pulse_curve", recording)
+        monkeypatch.setattr(cp.analysis, "curve_from_pulse", unused)
         args = ["sweep", "--pulse-file", str(synth_out / "pulse.csv"), "--target", "from-curve"]
         args += ["--grid", "1e-3:4e-2:5"]
         assert main(args + ["--refinement", "4", "--out", str(tmp_path / "r4")]) == 0
         assert main(args + ["--out", str(tmp_path / "auto")]) == 0
         assert seen == [4, None]
+
+    def test_open_curve_target_flagged(self, tmp_path, capsys):
+        # an open curve's target carries its flags into fit.json and warns
+        pulse_file = tmp_path / "smooth.csv"
+        cp.save_pulse_csv(cp.synthetic_smooth_pulse(3, n_samples=512), pulse_file)
+        args = ["sweep", "--pulse-file", str(pulse_file), "--target", "from-curve"]
+        assert main(args + ["--out", str(tmp_path / "fc")]) == 0
+        fit = json.loads((tmp_path / "fc" / "fit.json").read_text())
+        assert "non_robust_open_curve" in fit["target"]["flags"]
+        assert "open curve" in capsys.readouterr().err
 
     def test_from_curve_target_one_frame_transport(self, tmp_path, synth_out, monkeypatch):
         # the reconstructed curve's frame data are built once, with its phase
@@ -306,7 +321,7 @@ class TestSweep:
         assert main(args + ["--grid", "1e-3:4e-2:5", "--out", str(tmp_path / "fc")]) == 0
         assert calls == [4096]
 
-    def test_sweep_with_square_baseline(self, tmp_path, synth_out):
+    def test_sweep_with_square_baseline(self, tmp_path, synth_out, capsys):
         out = tmp_path / "sweep"
         rc = main(
             [
@@ -326,6 +341,9 @@ class TestSweep:
         assert abs(fit["slope"] - 4.0) < 0.3
         assert fit["converged"] is True
         assert fit["last_delta"] < 1e-8
+        # a closed curve's target is not flagged open, and nothing warns
+        assert "non_robust_open_curve" not in fit["target"]["flags"]
+        assert "warning" not in capsys.readouterr().err
         base = json.loads((out / "square_fit.json").read_text())
         assert abs(base["slope"] - 2.0) < 0.2
         data = np.loadtxt(out / "sweep.csv", delimiter=",", skiprows=1)

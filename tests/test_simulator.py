@@ -7,7 +7,7 @@ from scipy.linalg import expm
 import curvepulse as cp
 from curvepulse.errors import InputError
 from curvepulse.simulator import MAX_REFINEMENT
-from curvepulse.su2 import SIGMA_X, SIGMA_Z
+from curvepulse.su2 import SIGMA_X, SIGMA_Z, _distance_sq, _su2_pair
 
 from conftest import pauli_compose, third_order_vector
 
@@ -228,6 +228,33 @@ class TestSweep:
         batched = np.max(np.abs(mirror - sweep.infidelity[top]))
         single = np.max(np.abs(mirror - [per_point(sweep.delta_beta[i]) for i in top]))
         assert abs(batched - single) < 1e-13
+
+    @pytest.mark.parametrize(
+        "name, grid_span, refinement",
+        [("clifford_fig1", None, 2), ("alpha_eq12", (-1.8, -0.3), 4)],
+    )
+    def test_certificate_matches_row_by_row(self, builtin_pulses, name, grid_span, refinement):
+        # the batched certificate equals propagate's, row by row: the
+        # largest phase-aligned change from r/2 to r over every grid row and
+        # the self row, with the doubling stopped at the first r below 1e-8
+        pulse = builtin_pulses[name]
+        grid = None if grid_span is None else np.logspace(*grid_span, 12) / pulse.duration
+        sweep = cp.infidelity_sweep(pulse, delta_beta=grid)
+        assert sweep.refinement == refinement
+
+        def largest_change(r):
+            rows = np.concatenate([sweep.delta_beta, [0.0]])
+            pairs = [
+                (cp.propagate(pulse, db, refinement=r), cp.propagate(pulse, db, refinement=r // 2))
+                for db in rows
+            ]
+            return max(np.sqrt(_distance_sq(_su2_pair(u), _su2_pair(v))) for u, v in pairs)
+
+        delta = largest_change(refinement)
+        assert abs(sweep.last_delta - delta) < 1e-14
+        assert sweep.converged == (delta < 1e-8)
+        if refinement > 2:
+            assert largest_change(refinement // 2) >= 1e-8
 
     def test_sweep_memory_flat_in_grid_size(self):
         # the batch is reduced in fixed row chunks, so the traced peak does
