@@ -44,11 +44,14 @@ def write_json(path, payload, indent=None):
     """json.dumps(payload, sort_keys=True, indent=indent) plus a newline; returns the sha256.
 
     Without an indent the payload is a dict with str keys, written a value
-    at a time.  A 1-D float64 ndarray value is written as json.dumps writes
-    its .tolist(): a list of the shortest repr of each float, formatted by
-    _format_repr a block at a time.  Every other value, and every payload
-    with an indent, goes to json.dumps with sorted keys (without an indent
-    json.dumps takes the C encoder; json.dump never does).
+    at a time.  A 1-D float64 ndarray value is written as a list of
+    ``"%.17g" % v`` for each value, separated by ", ", the text write_csv
+    gives the same value; so it must be finite (nan would be written as
+    nan, which is not JSON).  Every float reads back to the same bits
+    except -0.0, written -0, which json.loads reads as the integer 0.
+    Every other value, and every payload with an indent, goes to json.dumps
+    with sorted keys (without an indent json.dumps takes the C encoder;
+    json.dump never does).
     """
     if indent is not None:
         return write_text(path, json.dumps(payload, sort_keys=True, indent=indent) + "\n")
@@ -60,7 +63,7 @@ def write_json(path, payload, indent=None):
             value = payload[key]
             if isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == 1:
                 yield b"["
-                yield from _text_blocks(_format_repr, value[:, None], [_SEP_JSON], _SEP_NONE)
+                yield from _text_blocks(value[:, None], [_SEP_JSON], _SEP_NONE)
                 yield b"]"
             else:
                 yield json.dumps(value, sort_keys=True).encode("utf-8")
@@ -87,11 +90,11 @@ def write_csv(path, header, columns):
         row = b",".join([b"%.17g"] * ncol) + b"\n"
         return _write_chunks(path, [head, row * rows % tuple(data.ravel().tolist())])
     seps = [_SEP_COMMA] * (ncol - 1) + [_SEP_NEWLINE]
-    return _write_chunks(path, itertools.chain([head], _text_blocks(_format_g17, data, seps)))
+    return _write_chunks(path, itertools.chain([head], _text_blocks(data, seps)))
 
 
-def _text_blocks(kernel, data, seps, final=None):
-    """The text of a 2-D array by one of the two kernels, whole rows of about
+def _text_blocks(data, seps, final=None):
+    """The text of a 2-D array by _format_g17, whole rows of about
     _BLOCK_VALUES values at a time.
 
     seps gives the separator of each column, and final (if given) that of
@@ -106,12 +109,12 @@ def _text_blocks(kernel, data, seps, final=None):
         if final is not None and start + step >= rows:
             block_sep = block_sep.copy()
             block_sep[-1] = final
-        yield kernel(block, block_sep).tobytes().translate(None, b"\0")
+        yield _format_g17(block, block_sep).tobytes().translate(None, b"\0")
 
 
 # ---------------------------------------------------------------------------
-# One kernel, two digit rules: "%.17g" % v (write_csv) and repr(v), the
-# shortest digits that read back to v (write_json), for a whole array.
+# One kernel: "%.17g" % v for a whole array (write_csv, and the float arrays
+# of write_json).
 #
 # A nonzero finite x has a decimal exponent E with |x| * 10**(16 - E) = t in
 # [10**16, 10**17).  t is formed in float64 as p + q: p = fl(|x| * h) and
@@ -120,28 +123,12 @@ def _text_blocks(kernel, data, seps, final=None):
 # roundings in q and the table's own error stay below 2**-47 in absolute
 # terms, so with q = floor(q) + r, t is A + r to within 2**-47 (_scaled).
 #
-# "%.17g" takes the 17 digits D = A or A + 1, the rounding of t, which is
-# certain once r is more than _BOUND = 2**-44 from one half.
+# The 17 digits are D = A or A + 1, the rounding of t, which is certain
+# once r is more than _BOUND = 2**-44 from one half.
 #
-# repr takes the fewest digits whose nearest candidate lies strictly inside
-# the rounding interval of x, (x - below, x + above) for the half-gaps to
-# the neighbouring doubles (below is half of above at a power of two).
-# Scaled like t the half-gaps lie in (0.55, 11.1], so the integers inside
-# the interval are L..U, with U - L < 23: a multiple of 10**m for the
-# largest m that has one (unique for m >= 2), and of those the nearest to t
-# (m = 1: the nearest multiple of 10, moved into L..U; m = 0: D).  Padded
-# to 17 digits it goes through the same layout, which strips trailing zeros.
-# It is certain once t - below and t + above are more than _BOUND from an
-# integer and, for m <= 1, t is more than _BOUND from the midpoint between
-# the two nearest candidates.  repr's layout differs from %g's in three
-# places, which the tables hold: 0.0 for 0, ".0" after an integer in fixed
-# notation, and exponent notation from E = 16 (1e+16).
-#
-# The exact step writes the text of one value as Python does, into the same
-# block: "%.17g" % v, or JSON's text (NaN and Infinity where v is not
-# finite).  It takes every value the bound cannot decide (an exact or near
-# tie, or a candidate on the interval's edge, as for every double from 2**52
-# to 1e17), and every value outside the table's magnitudes (subnormal,
+# The exact step writes "%.17g" % v, Python's own text of one value, into
+# the same block.  It takes every value the bound cannot decide (an exact
+# or near tie), and every value outside the table's magnitudes (subnormal,
 # below 1e-290 or from 1e290 up, inf, nan), within which neither the split
 # of |x| nor any partial product of the Dekker product overflows or
 # underflows.
@@ -160,7 +147,6 @@ _WORD = np.dtype("<u8")  # byte 0 of a word is the first character written
 # the separators a value's text may end in, by index
 _SEPS = (b",", b"\n", b", ", b"")
 _SEP_COMMA, _SEP_NEWLINE, _SEP_JSON, _SEP_NONE = range(len(_SEPS))
-_G17, _REPR = 0, 1  # the digit rules
 
 
 def _pow10_table():
@@ -186,8 +172,8 @@ def _pow10_table():
 
 
 def _layout_tables():
-    """Masks of the text after d0 by (rule, class, nd1), and its fixed bytes
-    by (rule, class, nd1, separator).
+    """Masks of the text after d0 by (class, nd1), and its fixed bytes by
+    (class, nd1, separator).
 
     Class 0-16 is fixed notation with that many digits after d0 before the
     point, 17 is exponent notation (point after d0) and 18-21 is
@@ -195,15 +181,12 @@ def _layout_tables():
     the number of significant digits after d0 (trailing zeros stripped) and
     the separator indexes _SEPS.  The digits after d0 are 16 bytes; those
     before the point (A) stay, those after it (B) move one byte right, and
-    the kept text is `length` bytes long.  An integer in fixed notation
-    ends at the point under %g, and in ".0" under repr: the point, then the
-    "0" of the first digit past nd1 (repr's class stops at 15, so there is
-    one).
+    the kept text is `length` bytes long; an integer in fixed notation ends
+    before the point.
     """
-    rule, c, nd1 = np.ix_(*(np.arange(n, dtype=np.uint8) for n in (2, 22, 17)))
+    c, nd1 = np.ix_(*(np.arange(n, dtype=np.uint8) for n in (22, 17)))
     pp = np.where(c <= 16, c, np.where(c == 17, 0, 16))
-    integer = np.where((c < 17) & (rule == _REPR), pp + 2, pp)
-    length = np.where(c >= 18, nd1, np.where(nd1 > pp, nd1 + 1, integer))
+    length = np.where(c >= 18, nd1, np.where(nd1 > pp, nd1 + 1, pp))
     pp, length = (t[..., None] for t in np.broadcast_arrays(pp, length))
     b = np.arange(16, dtype=np.uint8)
     a_mask = ((b < pp) & (b < length)) * np.uint8(255)
@@ -222,16 +205,15 @@ def _layout_tables():
 (_HI, _HH, _HL, _LO) = _pow10_table()
 (_A_MASK, _B_MASK, _FIXED) = _layout_tables()
 _E_ALL = np.arange(_E_MIN, _E_MAX + 2)  # after a carry E can reach _E_MAX + 1
-_G17_CLASS = np.select([(_E_ALL >= 0) & (_E_ALL <= 16), (_E_ALL < 0) & (_E_ALL >= -4)],
-                       [_E_ALL, 17 - _E_ALL], 17)
-# class by (rule, E): repr writes E = 16 in exponent notation
-_CLASS = np.stack([_G17_CLASS, np.where(_E_ALL == 16, 17, _G17_CLASS)])
+# the layout class of each E (see _layout_tables)
+_CLASS = np.select([(_E_ALL >= 0) & (_E_ALL <= 16), (_E_ALL < 0) & (_E_ALL >= -4)],
+                   [_E_ALL, 17 - _E_ALL], 17)
 _LEAD = np.where(_CLASS >= 18, -_E_ALL, 0)  # 0., 0.0, 0.00 or 0.000 before d0
-# e+XX or e-XXX and the separator, right-aligned, by (rule, E, separator);
-# 0 for fixed notation
-_EXP = np.array([[(b"e%+03d" % e + s).rjust(8, b"\0") if c == 17 else b""
-                  for e, c in zip(_E_ALL.tolist(), rule_class.tolist()) for s in _SEPS]
-                 for rule_class in _CLASS], dtype="S8").view(_WORD)
+# e+XX or e-XXX and the separator, right-aligned, by (E, separator); 0 for
+# fixed notation
+_EXP = np.array([(b"e%+03d" % e + s).rjust(8, b"\0") if c == 17 else b""
+                 for e, c in zip(_E_ALL.tolist(), _CLASS.tolist()) for s in _SEPS],
+                dtype="S8").view(_WORD)
 # sign, leading 0.000 and d0, right-aligned, by (sign, lead, d0)
 _PREFIX = np.array([(b"-" * s + (b"0." + b"0" * (lead - 1) if lead else b"") + b"%d" % d).rjust(8, b"\0")
                     for s in (0, 1) for lead in range(5) for d in range(10)], dtype="S8").view(_WORD)
@@ -253,12 +235,18 @@ def _scaled(ax, exponent):
     return p.astype(np.int64) + qf.astype(np.int64), q - qf
 
 
-def _placed(x):
-    """|x| held to the table's magnitudes, E, A, r and D of every value.
+def _exact_g17(v):
+    """The exact step of %.17g: Python's own."""
+    return b"%.17g" % v
 
-    Also returns the values the table cannot place: outside its magnitudes,
-    or not placed by one redo (libm's log10 is within an ulp, so that last
-    one would need a log10 two off).
+
+def _format_g17(x, sep):
+    """ "%.17g" % v for each v of x, each followed by _SEPS[sep]; see _layout.
+
+    D is the rounding of A + r.  The exact step takes the values the bound
+    cannot decide, and those the table cannot place: outside its
+    magnitudes, or not placed by one redo (libm's log10 is within an ulp,
+    so that last one would need a log10 two off).
     """
     ax = np.abs(x)
     axs = np.fmin(np.fmax(ax, _X_LO), _X_HI)  # nan -> _X_LO
@@ -270,66 +258,16 @@ def _placed(x):
         exponent[off] += np.where(a[off] < 10**16, -1, 1)
         a[off], r[off] = _scaled(axs[off], exponent[off])
         d[off] = a[off] + (r[off] > 0.5)
-    outside = (a < 10**16) | (d > 10**17) | (axs != ax)
-    return axs, exponent, a, r, d, outside
+    exact = (a < 10**16) | (d > 10**17) | (axs != ax) | (np.abs(r - 0.5) <= _BOUND)
+    return _layout(x, d, exponent, sep, exact)
 
 
-def _exact_g17(v):
-    """The exact step of %.17g: Python's own."""
-    return b"%.17g" % v
-
-
-def _exact_json(v):
-    """The exact step of repr: JSON's own text of the float."""
-    return json.dumps(v).encode("ascii")
-
-
-def _format_g17(x, sep):
-    """ "%.17g" % v for each v of x, each followed by _SEPS[sep]; see _layout.
-
-    D is the rounding of A + r; values the bound cannot decide, and values
-    outside the table, take the exact step, "%.17g" % v.
-    """
-    _, exponent, _, r, d, outside = _placed(x)
-    exact = outside | (np.abs(r - 0.5) <= _BOUND)
-    return _layout(x, d, exponent, sep, _G17, exact, _exact_g17)
-
-
-def _format_repr(x, sep):
-    """repr(v) for each v of x (NaN, Infinity, -Infinity where it is not
-    finite, as JSON writes them), each followed by _SEPS[sep]; see _layout.
-
-    The digits are the shortest round trip; values the bound cannot decide,
-    and values outside the table, take the exact step, JSON's own text.
-    """
-    axs, exponent, a, r, d, outside = _placed(x)
-    mant, fe = np.frexp(axs)
-    above = np.ldexp(_HI[exponent - _E_MIN], fe - 54)  # half the gap up, scaled like A + r
-    below = np.where(mant == 0.5, 0.5 * above, above)
-    f = r - below
-    g = r + above
-    hi = a + np.ceil(g).astype(np.int64) - 1  # U
-    width = hi - a - np.floor(f).astype(np.int64)  # U - L + 1
-    tens = hi - hi // 100 * 100
-    ones = tens - tens // 10 * 10
-    # a multiple of 100 in L..U is the only one there, with the most zeros;
-    # else the multiple of 10 nearest to t, moved into L..U; else D
-    c = (a + 5) // 10 * 10
-    c += 10 * (c <= hi - width) - 10 * (c > hi)
-    c = np.where(tens < width, hi - tens, np.where(ones < width, c, d))
-    # t's distance to the midpoint between the two nearest candidates
-    mid = np.where(ones < width, (a - a // 10 * 10) + r - 5.0, r - 0.5)
-    near = ((np.abs(mid) <= _BOUND) & (tens >= width)
-            | (np.abs(f - np.rint(f)) <= _BOUND) | (np.abs(g - np.rint(g)) <= _BOUND))
-    return _layout(x, c, exponent, sep, _REPR, outside | near, _exact_json)
-
-
-def _layout(x, d, exponent, sep, rule, exact, exact_text):
-    """The text of each v of x by one digit rule, followed by _SEPS[sep].
+def _layout(x, d, exponent, sep, exact):
+    """The text of each v of x, followed by _SEPS[sep].
 
     d holds the 17 digits (trailing zeros are stripped) and exponent E;
-    v = +-0 is laid out as 0 (0.0 under repr) whatever d and exact say,
-    and exact_text(v) is written where exact.
+    v = +-0 is laid out as 0 or -0 whatever d and exact say, and the exact
+    step, _exact_g17(v), is written where exact.
 
     Returns (len(x), 4) little-endian words whose bytes, with every NUL
     removed, are the text.  Word 0 holds sign, leading "0.000" and d0,
@@ -364,19 +302,19 @@ def _layout(x, d, exponent, sep, rule, exact, exact_text):
     v |= _ZEROS
 
     e = exponent - _E_MIN
-    m = (rule * 22 + _CLASS[rule][e]) * 17 + nd1
+    m = _CLASS[e] * 17 + nd1
     k = m * len(_SEPS) + sep
     lo, hi = v[:, 0], v[:, 1]
     b_lo = lo & _B_MASK[0][m]
     b_hi = hi & _B_MASK[1][m]
     out = np.empty((n, 4), _WORD)
-    out[:, 0] = _PREFIX[d0 + 10 * _LEAD[rule][e] + 50 * np.signbit(x)]
+    out[:, 0] = _PREFIX[d0 + 10 * _LEAD[e] + 50 * np.signbit(x)]
     out[:, 1] = (lo & _A_MASK[0][m]) | (b_lo << 8) | _FIXED[0][k]
     out[:, 2] = (hi & _A_MASK[1][m]) | (b_hi << 8) | (b_lo >> 56) | _FIXED[1][k]
-    out[:, 3] = (b_hi >> 56) | _FIXED[2][k] | _EXP[rule][len(_SEPS) * e + sep]
+    out[:, 3] = (b_hi >> 56) | _FIXED[2][k] | _EXP[len(_SEPS) * e + sep]
     slots = out.view(np.uint8).reshape(n, 32)
     for i in np.flatnonzero(exact).tolist():
-        text = exact_text(float(x[i])) + _SEPS[sep[i]]
+        text = _exact_g17(float(x[i])) + _SEPS[sep[i]]
         slots[i] = 0
         slots[i, : len(text)] = np.frombuffer(text, np.uint8)
     return out

@@ -478,7 +478,8 @@ def read_pulse_file(path):
 
     Errors carry line numbers (sample numbers for JSON); t must be strictly
     increasing and all values finite.  meta["sha256"] is the digest of the
-    bytes that were parsed.
+    bytes that were parsed.  A JSON twin gives the values of its CSV bit for
+    bit, except a -0.0 phase (written -0), which comes back as +0.0.
     """
     table = read_table(path, "t,omega_x,omega_y[,detuning]", 2, _pulse_json_rows)
     t, a, b = table.data.T[:3]

@@ -546,6 +546,20 @@ class TestDeterminism:
         assert main(argv + ["--out", str(out)]) == 0
         assert tree_hashes(out) == first
 
+    def test_json_twin_gives_the_csv_outputs(self, tmp_path, synth_out):
+        # pulse.json holds the text of pulse.csv, so analyze and sweep read
+        # the same pulse from either and write the same bytes; only the
+        # manifest, which names and hashes the input, differs
+        for argv in (["analyze"], ["sweep", "--target", "from-curve", "--compare", "square"]):
+            outputs = []
+            for twin in ("pulse.csv", "pulse.json"):
+                out = tmp_path / f"{argv[0]}-{twin}"
+                assert main(argv + ["--pulse-file", str(synth_out / twin), "--out", str(out)]) == 0
+                outputs.append(tree_hashes(out))
+            for hashes in outputs:
+                assert hashes.pop("manifest.json")
+            assert outputs[0] == outputs[1], argv[0]
+
     def test_manifest_records_hashes(self, synth_out):
         manifest = json.loads((synth_out / "manifest.json").read_text())
         for name, digest in manifest["outputs"].items():

@@ -370,44 +370,66 @@ def _json_written(tmp_path, values):
     return path.read_bytes()
 
 
-def _dumps(values):
-    """The oracle: json.dumps of the same payload with the array as a list."""
-    return (json.dumps({"v": values.tolist()}, sort_keys=True) + "\n").encode()
+def _g17_list(values):
+    """The oracle of an array: a JSON list of "%.17g" % v, the text of a CSV."""
+    return "[" + ", ".join("%.17g" % v for v in values.tolist()) + "]"
 
 
-def _old_pulse_json(pulse):
-    """save_pulse_json's bytes when it passed json.dumps every column as a list."""
+def _g17_json(values):
+    """The oracle of {"v": values}."""
+    return ('{"v": ' + _g17_list(values) + "}\n").encode()
+
+
+def _assert_reads_back(text, values):
+    """json.loads gives every value back bit for bit, and -0.0 as +0.0."""
+    back = np.array(json.loads(text)["v"], dtype=np.float64).reshape(values.shape)
+    negative_zero = (values == 0) & np.signbit(values)
+    assert (_bits(back) == np.where(negative_zero, 0, _bits(values))).all()
+
+
+def _pulse_json(pulse):
+    """save_pulse_json's bytes: json.dumps's, with every column as "%.17g" text."""
     payload = {
-        "t": pulse.t.tolist(),
-        "omega": pulse.omega.tolist(),
-        "phi": pulse.phi.tolist(),
-        "detuning": None if pulse.detuning is None else pulse.detuning.tolist(),
+        "t": pulse.t,
+        "omega": pulse.omega,
+        "phi": pulse.phi,
+        "detuning": pulse.detuning,
         "metadata": {k: v for k, v in pulse.metadata.items() if k != "import_timestamp"},
     }
-    return (json.dumps(payload, sort_keys=True) + "\n").encode()
+    items = [
+        json.dumps(key) + ": " + (
+            _g17_list(value) if isinstance(value, np.ndarray) else json.dumps(value, sort_keys=True)
+        )
+        for key, value in sorted(payload.items())
+    ]
+    return ("{" + ", ".join(items) + "}\n").encode()
 
 
 class TestJsonFormatter:
-    """write_json's vectorized repr gives the bytes of json.dumps."""
+    """write_json writes each float array as the %.17g text of a CSV, which
+    json.loads reads back to the same bits (-0.0 aside)."""
+
+    def _check(self, tmp_path, values):
+        text = _json_written(tmp_path, values)
+        assert text == _g17_json(values)
+        _assert_reads_back(text, values)
 
     def test_random_bit_patterns(self, tmp_path):
         rng = np.random.default_rng(30)
-        for _ in range(5):  # 5 x 2**18 patterns, nan and +-inf among them
+        for _ in range(5):  # 5 x 2**18 patterns, the finite ones
             v = rng.integers(0, 2**64, 2**18, dtype=np.uint64).view(np.float64)
-            v[rng.integers(0, v.size, 3)] = [np.nan, np.inf, -np.inf]
-            assert _json_written(tmp_path, v) == _dumps(v)
+            self._check(tmp_path, v[np.isfinite(v)])
 
     def test_log_uniform_magnitudes(self, tmp_path):
         rng = np.random.default_rng(31)
         v = rng.choice([-1.0, 1.0], 2**18) * 10.0 ** rng.uniform(-320.0, 308.25, 2**18)
-        assert _json_written(tmp_path, v) == _dumps(v)
+        self._check(tmp_path, v)
 
     def test_edge_values(self, tmp_path):
         rng = np.random.default_rng(32)
         edges = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-5, 1e-4,
                  0.1, 0.2, 0.3, 2 / 3, 1 / 3, 0.5, 1.0, 123.0, 1e15, 1e16, 1e17, 1e22, 1e23]
-        # every power of two (the half-gap below is half the one above) and
-        # of ten that a double holds
+        # every power of two and of ten that a double holds
         powers = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
                                  [float(f"1e{e}") for e in range(-323, 309)]])
         v = np.concatenate([edges, powers])
@@ -418,37 +440,37 @@ class TestJsonFormatter:
         e16 = rng.uniform(1e16, 1e17, 4096)
         subnormal = rng.integers(1, 2**52, 4096).view(np.float64)
         short = rng.integers(1, 10**6, 4096) * 10.0 ** rng.integers(-12, 12, 4096)
-        v = np.concatenate([v, integral, e16, np.floor(e16), subnormal, short])
+        v = np.concatenate([v, integral, e16, np.floor(e16), subnormal, short,
+                            _ties(rng, 64)])
         v = np.concatenate([v, -v])
-        assert _json_written(tmp_path, v) == _dumps(v)
+        self._check(tmp_path, v[np.isfinite(v)])
 
     def test_what_takes_the_exact_step(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(33)
-        # values outside the table, and half-gaps that end on an integer
-        # (every double from 2**52 to 1e17) take it
-        exact = [2.0**53, 1e16, -2.5e16, 99999999999999984.0,
-                 np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 1e-291, 3e290]
-        # the layouts where repr differs from %g do not: 0.0, 1.0, 1e+16
-        laid_out = [0.0, -0.0, 1.0, -123.0, 4096.0, 1e15, 0.5, 1e-5]
-        # below 1: no double whose half-gaps end on a 17-digit decimal
-        ordinary = rng.uniform(1.1, 9.9, 1000) * 10.0 ** rng.integers(-280, 0, 1000)
+        # as in a CSV: ties and values outside the table take it
+        exact = np.concatenate([_ties(rng, 16), [5e-324, -2.5e-310, 1e-291,
+                                                 1.7976931348623157e308, -3e290]])
+        # integers from 2**52 to 1e17 do not
+        laid_out = [2.0**53, 1e16, -2.5e16, 99999999999999984.0,
+                    0.0, -0.0, 1.0, -123.0, 4096.0, 1e15, 0.5, 1e-5]
+        ordinary = rng.uniform(1.1, 9.9, 1000) * 10.0 ** rng.integers(-280, 280, 1000)
+        ordinary = ordinary[[not _is_tie(v) for v in ordinary.tolist()]]
         values = rng.permutation(np.concatenate([exact, laid_out, ordinary]))
         seen = []
-        exact_json = _files._exact_json
+        exact_g17 = _files._exact_g17
 
         def recording(v):
             seen.append(v)
-            return exact_json(v)
+            return exact_g17(v)
 
-        monkeypatch.setattr(_files, "_exact_json", recording)
-        assert _json_written(tmp_path, values) == _dumps(values)
-        assert sorted(map(repr, seen)) == sorted(map(repr, exact))
+        monkeypatch.setattr(_files, "_exact_g17", recording)
+        assert _json_written(tmp_path, values) == _g17_json(values)
+        assert sorted(map(repr, seen)) == sorted(map(repr, exact.tolist()))
 
     @pytest.mark.parametrize("size", [0, 1, 2, _files._BLOCK_VALUES, _files._BLOCK_VALUES + 1, 9000])
     def test_sizes(self, tmp_path, size):
         # empty, one value, and either side of a block's end
-        v = np.random.default_rng(34).normal(size=size)
-        assert _json_written(tmp_path, v) == _dumps(v)
+        self._check(tmp_path, np.random.default_rng(34).normal(size=size))
 
     def test_pulse_json_bytes(self, tmp_path, builtin_pulses):
         lab = cp.transform_to_lab_frame(builtin_pulses["clifford_fig1"]).to_waveform()
@@ -461,8 +483,34 @@ class TestJsonFormatter:
         for name, pulse in pulses.items():
             path = tmp_path / f"{name}.json"
             digest = cp.save_pulse_json(pulse, path)
-            assert path.read_bytes() == _old_pulse_json(pulse), name
+            assert path.read_bytes() == _pulse_json(pulse), name
             assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+            payload = json.loads(path.read_bytes())
+            for key in ("t", "omega", "phi", "detuning"):
+                column = getattr(pulse, key)
+                if column is not None:
+                    assert (_bits(np.array(payload[key], dtype=np.float64)) == _bits(column)).all()
+
+    def test_negative_zero_reads_back_as_zero(self, tmp_path):
+        # the one value that does not round-trip bit for bit: an imported
+        # pulse whose first sample has omega_y = -0.0 has phi[0] = -0.0,
+        # written -0, which json.loads reads as the integer 0
+        t = np.linspace(0.0, 1.0, 16)
+        wy = np.sin(np.pi * t)
+        wy[0] = -0.0
+        source = tmp_path / "drive.csv"
+        _files.write_csv(source, "t,omega_x,omega_y", [t, np.full(16, 2.0), wy])
+        pulse = cp.import_external_pulse(source)
+        assert np.signbit(pulse.phi[0])
+        path = tmp_path / "pulse.json"
+        cp.save_pulse_json(pulse, path)
+        assert b'"phi": [-0, ' in path.read_bytes()
+        t_back, _, wy_back, _, _ = read_pulse_file(path)
+        assert wy_back[0] == 0.0 and not np.signbit(wy_back[0])
+        back = np.array(json.loads(path.read_bytes())["phi"], dtype=np.float64)
+        assert back[0] == 0.0 and not np.signbit(back[0])
+        assert (_bits(back[1:]) == _bits(pulse.phi[1:])).all()
+        assert (_bits(t_back) == _bits(pulse.t)).all()
 
     def test_other_payloads_unchanged(self, tmp_path):
         v = np.linspace(0.0, 1.0, 1000)
