@@ -284,7 +284,8 @@ def cmd_sweep(args):
         if angle is None:
             u0 = propagate(pulse, 0.0, refinement=sweep.refinement)
             _, angle = unitary_axis_angle(u0)
-        baseline = square_pulse(pulse.duration, angle=float(angle), n_samples=256)
+        # a rotation by -angle about an axis is one by angle about its reverse
+        baseline = square_pulse(pulse.duration, angle=abs(float(angle)), n_samples=256)
         base_sweep = infidelity_sweep(
             baseline, target=None, delta_beta=sweep.delta_beta
         )

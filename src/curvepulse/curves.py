@@ -44,7 +44,11 @@ CLIFFORD_Q = 1.6054  # phase parameter of the built-in Clifford-gate curve
 
 @dataclass(frozen=True)
 class SpaceCurve:
-    """Uniformly sampled curve r(t) with t equal to arc length, r(0) = origin."""
+    """Uniformly sampled curve r(t) with t equal to arc length, r(0) = origin.
+
+    t takes PulseWaveform's grid rule: at least 2 samples, starting at 0,
+    with steps equal within 1e-9 of the first.
+    """
 
     t: np.ndarray
     points: np.ndarray
@@ -53,12 +57,17 @@ class SpaceCurve:
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
         pts = np.asarray(self.points, dtype=float)
+        if t.ndim != 1 or t.shape[0] < 2:
+            raise InputError("t must be a 1-d array of at least 2 samples")
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] != t.shape[0]:
             raise InputError("points must have shape (n, 3) matching t")
         if not np.all(np.isfinite(t)) or not np.all(np.isfinite(pts)):
             raise InputError("non-finite curve samples")
-        if t[0] != 0.0 or np.any(np.diff(t) <= 0):
+        steps = np.diff(t)
+        if t[0] != 0.0 or np.any(steps <= 0):
             raise InputError("t must start at 0 and be strictly increasing")
+        if np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
+            raise InputError("t must be uniform")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "points", pts)
 
@@ -90,25 +99,24 @@ class SpaceCurve:
 
 @dataclass(frozen=True)
 class FrenetData:
-    """Per-sample moving frame with curvature, torsion and drive angle.
+    """Curvature, torsion, end frames and drive angle of a sampled curve.
 
-    Samples where curvature falls below the floor carry normals/torsion
-    continued from the nearest valid sample and are marked in `flagged`.
-    `start` holds the columns (t0, n0, t0 x n0): the first tangent and the
-    first valid normal, orthonormalized.  `beta` is the unwrapped angle of
-    r'' in the twist-free frame that starts at n0; the drive phase is
+    Samples where curvature falls below the floor carry torsion continued
+    from the nearest valid sample and are marked in `flagged`.  `start` and
+    `end` are the frames (t, n, t x n) at the first and last sample, built
+    by one rule (_frame): the sample's tangent and the normal of the nearest
+    valid sample, orthonormalized.  `beta` is the unwrapped angle of r'' in
+    the twist-free frame that starts at start's normal; the drive phase is
     phi0 + beta - anchor, where `anchor` is beta at the first sample of
     `reliable` (the samples where |r''| resolves an angle).
     """
 
     t: np.ndarray
-    tangent: np.ndarray
-    normal: np.ndarray
-    binormal: np.ndarray
     curvature: np.ndarray
     torsion: np.ndarray
     flagged: np.ndarray
     start: np.ndarray
+    end: np.ndarray
     beta: np.ndarray
     reliable: np.ndarray
     anchor: float
@@ -238,14 +246,32 @@ def _nearest_valid(valid):
     return np.where(hi - idx_flagged < idx_flagged - lo, hi, lo)
 
 
-def frenet_data(curve):
-    """Frame, curvature = |r''|, torsion and drive angle of a unit-speed curve.
+def _frame(t, n):
+    """Frame columns (t, n, t x n), with n orthonormalized against t.
 
-    One pass of the finite-difference stencils gives the frame, curvature
-    and torsion.  The start frame and the angle of r'' in the twist-free
-    frame (double-reflection transport; Wang, Juettler, Zheng & Liu 2008)
-    follow from the same r'', once the other stencil arrays are released:
-    the drive phase is that angle, so the transport runs once per curve.
+    Without a normal, or where n lies along t, n is t x z, or t x x where
+    t x z is shorter than 1e-6.
+    """
+    if n is not None:
+        n = n - (n @ t) * t
+    if n is None or np.linalg.norm(n) < 1e-12:
+        n = np.cross(t, [0.0, 0.0, 1.0])
+        if np.linalg.norm(n) < 1e-6:
+            n = np.cross(t, [1.0, 0.0, 0.0])
+    n = n / np.linalg.norm(n)
+    return np.stack([t, n, np.cross(t, n)], axis=1)
+
+
+def frenet_data(curve):
+    """Curvature = |r''|, torsion, end frames and drive angle of a unit-speed curve.
+
+    One pass of the finite-difference stencils gives curvature and torsion.
+    The frames at both ends take the tangent there and the normal of the
+    nearest valid sample (the first valid one for `start`, the last for
+    `end`).  The angle of r'' in the twist-free frame (double-reflection
+    transport; Wang, Juettler, Zheng & Liu 2008) follows from the same r'',
+    once the other stencil arrays are released: the drive phase is that
+    angle, so the transport runs once per curve.
     """
     pts = curve.points
     dt = curve.dt
@@ -262,7 +288,7 @@ def frenet_data(curve):
     floor = max(_CURVATURE_FLOOR_REL * float(curvature.mean()), noise_floor)
     valid = curvature > floor
 
-    normal = np.zeros_like(pts)
+    ends = (None, None)
     if np.any(valid):
         unit = rddot[valid] / curvature[valid, None]
         # enforce exact orthogonality to the tangent (removes the tangential
@@ -275,53 +301,25 @@ def frenet_data(curve):
         # above the rounding of the projection itself
         keep = across > 4.0 * np.finfo(float).eps
         valid[valid] = keep
-        normal[valid] = unit[keep] / across[keep, None]
+        if np.any(keep):
+            # the normals of the first and last valid samples
+            first_last = np.flatnonzero(keep)[[0, -1]]
+            ends = unit[first_last] / across[first_last, None]
         del unit, proj, across, keep
     flagged = ~valid
-    nearest = _nearest_valid(valid) if np.any(valid) and np.any(flagged) else None
-    if nearest is not None:
-        carried = normal[nearest]
-        # re-orthogonalize the carried normals against the local tangent
-        tloc = tangent[flagged]
-        carried = carried - np.sum(carried * tloc, axis=1)[:, None] * tloc
-        nrm = np.linalg.norm(carried, axis=1)
-        bad = nrm < 1e-12
-        if np.any(bad):
-            fallback = np.cross(tloc[bad], np.array([0.0, 0.0, 1.0]))
-            alt = np.linalg.norm(fallback, axis=1) < 1e-6
-            fallback[alt] = np.cross(tloc[bad][alt], np.array([1.0, 0.0, 0.0]))
-            carried[bad] = fallback
-            nrm = np.linalg.norm(carried, axis=1)
-        normal[flagged] = carried / nrm[:, None]
-    elif not np.any(valid):
-        # straight segment: any frame orthogonal to the tangent
-        ref = np.array([0.0, 0.0, 1.0])
-        if abs(tangent[0] @ ref) > 0.9:
-            ref = np.array([1.0, 0.0, 0.0])
-        n0 = np.cross(tangent[0], ref)
-        normal[:] = n0 / np.linalg.norm(n0)
-
-    binormal = np.cross(tangent, normal)
-    binormal /= np.linalg.norm(binormal, axis=1)[:, None]
+    start = _frame(tangent[0], ends[0])
+    end = _frame(tangent[-1], ends[-1])
 
     cross = np.cross(rdot, rddot)
     denom = np.sum(cross * cross, axis=1)
     torsion = np.zeros(len(pts))
     torsion[valid] = np.sum(cross[valid] * rdddot[valid], axis=1) / denom[valid]
-    if nearest is not None:
-        torsion[flagged] = torsion[nearest]
+    if np.any(valid) and np.any(flagged):
+        torsion[flagged] = torsion[_nearest_valid(valid)]
     # the transport below allocates its own arrays: release these first
     del rdot, rdddot, cross, denom
 
-    # start frame (t0, n0, t0 x n0): first tangent and first valid normal
-    t0 = tangent[0]
-    idx = np.flatnonzero(valid)
-    n0 = normal[int(idx[0]) if idx.size else 0]
-    n0 = n0 - (n0 @ t0) * t0
-    n0 /= np.linalg.norm(n0)
-    start = np.stack([t0, n0, np.cross(t0, n0)], axis=1)
-
-    # drive angle: r'' in the twist-free frame transported from n0
+    # drive angle: r'' in the twist-free frame transported from start's normal
     a, b = _accel.transport_components(pts, tangent, rddot, start[:, 1])
     mag = np.hypot(a, b)
     reliable = mag > _PHASE_FLOOR_REL * max(float(mag.max()), 1e-300)
@@ -330,13 +328,11 @@ def frenet_data(curve):
     anchor = beta[idx[0]] if idx.size else 0.0
     return FrenetData(
         curve.t,
-        tangent,
-        normal,
-        binormal,
         curvature,
         torsion,
         flagged,
         start,
+        end,
         beta,
         reliable,
         anchor,

@@ -20,7 +20,13 @@ from ._files import read_table, write_csv, write_json
 from ._numerics import carried_unwrap, cumtrapz_end_corrected, fd1, fd2
 from .curves import frenet_data
 from .errors import InputError, NoSolutionError
-from .su2 import Unitary2, gate_distance, unitary_axis_angle, unitary_from_angles
+from .su2 import (
+    Unitary2,
+    gate_distance,
+    unitary_axis_angle,
+    unitary_from_angles,
+    unitary_from_rotation,
+)
 
 _POLE_TOL = 1e-7
 # a curve is closed when its end gap is at most this fraction of its length
@@ -279,7 +285,7 @@ def target_gate_from_curve(curve, frenet=None, phi0=None):
     if not closed:
         flags.append("non_robust_open_curve")
 
-    tangent_end = rot @ frenet.tangent[-1]
+    tangent_end = rot @ frenet.end[:, 0]
     tz = np.clip(tangent_end[2], -1.0, 1.0)
     chi_end = float(np.arccos(tz))
     sin_chi = np.hypot(tangent_end[0], tangent_end[1])
@@ -290,7 +296,7 @@ def target_gate_from_curve(curve, frenet=None, phi0=None):
         if frenet.flagged[-1]:
             # the normal was carried from the nearest valid sample
             flags.append("degenerate_final_normal")
-        n_end = rot @ frenet.normal[-1]
+        n_end = rot @ frenet.end[:, 1]
         phi_end = float(np.arctan2(n_end[0], -n_end[1]))
 
     phi_track, _ = drive_phase_track(frenet, phi0_val)
@@ -304,31 +310,18 @@ def target_gate_from_curve(curve, frenet=None, phi0=None):
     return TargetGate(unitary, axis, angle, float(theta_end), closed, tuple(flags))
 
 
-def gate_from_frame(curve, frenet=None, phi0=None):
-    """Cross-check gate assembly from the full endpoint frame (rotation lift).
+def gate_from_frame(frenet, phi0=None):
+    """Cross-check gate assembly from the start and end frames (rotation lift).
 
-    Independent of the endpoint-phase unwrapping; agrees with
-    target_gate_from_curve up to global phase for well-posed curves.
+    The lifted rotation takes the canonical frame at the final drive phase
+    to `frenet.end`, seen in the pose where `frenet.start` is the canonical
+    frame at phi0.  Independent of the endpoint-phase unwrapping; agrees
+    with target_gate_from_curve up to global phase for well-posed curves.
     """
-    from .su2 import unitary_from_rotation
-
-    if frenet is None:
-        frenet = frenet_data(curve)
     phi0_val = _resolve_phi0(phi0)
-    _, rot = canonicalize_curve(curve, frenet, phi0_val)
-    phi_track, _ = drive_phase_track(frenet, phi0_val)
-    phi_end = float(phi_track[-1])
-    post = np.stack(
-        [rot @ frenet.tangent[-1], rot @ frenet.normal[-1], rot @ frenet.binormal[-1]],
-        axis=1,
-    )
-    r_u = post @ canonical_frame(phi_end).T
-    # project back to the nearest rotation before lifting
-    uu, _, vv = np.linalg.svd(r_u)
-    r_u = uu @ vv
-    if np.linalg.det(r_u) < 0:
-        r_u = -r_u
-    return unitary_from_rotation(r_u)
+    phi_end = float(drive_phase_track(frenet, phi0_val)[0][-1])
+    rot = canonical_frame(phi0_val) @ frenet.start.T
+    return unitary_from_rotation(rot @ frenet.end @ canonical_frame(phi_end).T)
 
 
 def transform_to_transverse_frame(t, omega_x, omega_z, phase0=0.0, phase_ramp=None):

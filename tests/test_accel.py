@@ -5,7 +5,7 @@ import pytest
 
 import curvepulse as cp
 from curvepulse import _accel
-from curvepulse._numerics import fd2
+from curvepulse._numerics import fd1, fd2
 
 from conftest import magnus_nested_loop, stadium_rows
 
@@ -212,10 +212,12 @@ class TestPathEquality:
         # the inputs frenet_data hands the kernel
         curve = TRANSPORT_CURVES[name](tmp_path)
         frenet = cp.frenet_data(curve)
+        rdot = fd1(curve.points, frenet.dt)
+        tangent = rdot / np.linalg.norm(rdot, axis=1)[:, None]
         rddot = fd2(curve.points, frenet.dt)
         m1 = frenet.start[:, 1]
-        a, b = _accel.transport_components(curve.points, frenet.tangent, rddot, m1)
-        a_ref, b_ref = _transport_reference(curve.points, frenet.tangent, rddot, m1)
+        a, b = _accel.transport_components(curve.points, tangent, rddot, m1)
+        a_ref, b_ref = _transport_reference(curve.points, tangent, rddot, m1)
         scale = np.max(np.linalg.norm(rddot, axis=1))
         assert np.max(np.abs(a - a_ref)) <= 1e-12 * scale
         assert np.max(np.abs(b - b_ref)) <= 1e-12 * scale

@@ -369,6 +369,19 @@ class TestSweep:
         fit = json.loads((out / "fit.json").read_text())
         assert fit["target"]["kind"] == "axis-angle"
 
+    def test_square_baseline_of_a_negative_angle(self, tmp_path, synth_out):
+        # the same rotation spelled with a negative angle gets the same baseline
+        spellings = (["axis=-1,1,1", f"angle={-2*np.pi/3}"], ["axis=1,-1,-1", f"angle={2*np.pi/3}"])
+        outs = []
+        for k, target in enumerate(spellings):
+            out = tmp_path / f"sweep{k}"
+            argv = ["sweep", "--pulse-file", str(synth_out / "pulse.csv"), "--target", *target]
+            argv += ["--grid", "1e-3:4e-2:8", "--compare", "square", "--out", str(out)]
+            assert main(argv) == 0
+            outs.append(out)
+        for name in ("square_sweep.csv", "square_fit.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_bad_grid_exits_2(self, tmp_path, synth_out):
         rc = main(
             ["sweep", "--pulse-file", str(synth_out / "pulse.csv"), "--grid", "oops", "--out", str(tmp_path / "x")]

@@ -25,6 +25,11 @@ HELIX_KAPPA = HELIX_A / (HELIX_A**2 + HELIX_B**2)  # 0.8
 HELIX_TAU = HELIX_B / (HELIX_A**2 + HELIX_B**2)  # 0.4
 
 
+def assert_proper_rotation(frame):
+    assert np.max(np.abs(frame.T @ frame - np.eye(3))) < 1e-12
+    assert np.linalg.det(frame) > 0.0
+
+
 class TestStencils:
     def test_polynomial_exactness(self):
         rng = np.random.default_rng(1)
@@ -309,13 +314,13 @@ class TestFrenet:
         assert np.max(np.abs(f.torsion - HELIX_TAU)) < 1e-6
         assert not f.any_flagged
 
-    def test_frame_orthonormality(self, builtin_frenet):
-        for f in builtin_frenet.values():
-            ok = ~f.flagged
-            dots = np.abs(np.sum(f.tangent[ok] * f.normal[ok], axis=1))
-            assert dots.max() < 1e-8
-            b = np.cross(f.tangent[ok], f.normal[ok])
-            assert np.max(np.abs(b - f.binormal[ok])) < 1e-8
+    def test_frame_orthonormality(self, builtin_curves, builtin_frenet):
+        for name, f in builtin_frenet.items():
+            assert_proper_rotation(f.start)
+            assert_proper_rotation(f.end)
+            # the end frame starts from the tangent at the last sample
+            rdot = fd1(builtin_curves[name].points, f.dt)[-1]
+            assert np.max(np.abs(f.end[:, 0] - rdot / np.linalg.norm(rdot))) < 1e-12, name
 
     def test_constant_torsion_loop(self):
         c = cp.builtin_curve("const_torsion_gamma", n_samples=8192)
@@ -325,11 +330,20 @@ class TestFrenet:
         assert cv < 1e-3
 
     def test_straight_line_all_flagged(self):
+        # no sample has a normal, so both frames take the one fallback
+        # perpendicular, t x z (t x x along z); the tilted line (t.z = 0.95)
+        # is where a second rule switching at |t.z| > 0.9 would differ
         t = np.linspace(0.0, 1.0, 128)
-        pts = np.stack([np.zeros_like(t), np.zeros_like(t), t], axis=1)
-        f = cp.frenet_data(cp.SpaceCurve(t, pts, "line"))
-        assert f.flagged.all()
-        assert np.max(np.abs(f.torsion)) == 0.0
+        for direction in ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (np.sqrt(1.0 - 0.95**2), 0.0, 0.95)):
+            f = cp.frenet_data(cp.SpaceCurve(t, np.outer(t, direction), "line"))
+            assert f.flagged.all()
+            assert np.max(np.abs(f.torsion)) == 0.0
+            # the end tangent's one-sided stencil rounds apart by at most 4e-14
+            assert np.max(np.abs(f.start - f.end)) < 1e-12
+            assert_proper_rotation(f.start)
+            assert_proper_rotation(f.end)
+            n = np.cross(direction, (1.0, 0.0, 0.0) if direction[2] == 1.0 else (0.0, 0.0, 1.0))
+            assert np.max(np.abs(f.start[:, 1] - n / np.linalg.norm(n))) < 1e-12
 
     def test_nearest_valid_ties_go_low(self):
         rng = np.random.default_rng(5)
@@ -359,11 +373,9 @@ class TestFrenet:
         # curvature floor with r'' exactly along the tangent
         save_curve_csv(stadium_rows(3.0, 0.5, 2049), tmp_path / "stadium.csv")
         f = cp.frenet_data(cp.load_curve(tmp_path / "stadium.csv", n_samples=6000))
-        for values in (f.normal, f.binormal, f.torsion):
-            assert np.all(np.isfinite(values))
-        assert np.max(np.abs(np.linalg.norm(f.normal, axis=1) - 1.0)) < 1e-12
-        ok = ~f.flagged
-        assert np.max(np.abs(np.sum(f.tangent[ok] * f.normal[ok], axis=1))) < 1e-8
+        assert np.all(np.isfinite(f.torsion))
+        assert_proper_rotation(f.start)
+        assert_proper_rotation(f.end)
 
     def test_frenet_reconstruction(self, builtin_curves, builtin_frenet):
         # geometric core: the pulse defined by the frame data evolves back
@@ -594,6 +606,14 @@ class TestSpaceCurveValidation:
             cp.SpaceCurve(np.linspace(1.0, 2.0, 10), pts, "bad")
         with pytest.raises(InputError):
             cp.SpaceCurve(np.zeros(10), pts, "bad")
+        # one sample has no step
+        with pytest.raises(InputError):
+            cp.SpaceCurve(np.zeros(1), np.zeros((1, 3)), "bad")
+        # a unit circle on t ~ lambda^1.5 would give curvature 1788 to 58668
+        lam = np.linspace(0.0, 1.0, 4096) ** 1.5 * 2.0 * np.pi
+        circle = np.stack([np.cos(lam) - 1.0, np.sin(lam), np.zeros_like(lam)], axis=1)
+        with pytest.raises(InputError):
+            cp.SpaceCurve(lam, circle, "bad")
 
     def test_random_loops_unflagged(self):
         for seed in range(10):

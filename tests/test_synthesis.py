@@ -89,7 +89,7 @@ class TestTargetGate:
     def test_frame_route_cross_check(self, builtin_curves, builtin_frenet):
         for name in ("circle", "alpha_eq12", "const_torsion_gamma"):
             gate = cp.target_gate_from_curve(builtin_curves[name], builtin_frenet[name])
-            other = gate_from_frame(builtin_curves[name], builtin_frenet[name])
+            other = gate_from_frame(builtin_frenet[name])
             assert cp.gate_distance(gate.unitary, other) < 1e-5, name
 
     @pytest.mark.parametrize("shape", [(1.0, 1.0, 513), (3.0, 0.5, 2049)])
