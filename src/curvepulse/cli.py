@@ -280,12 +280,11 @@ def cmd_sweep(args):
     outputs = _write_sweep(outdir, "", sweep, target_info)
 
     if args.compare == "square":
-        angle = target_info.get("angle")
-        if angle is None:
-            u0 = propagate(pulse, 0.0, refinement=sweep.refinement)
-            _, angle = unitary_axis_angle(u0)
-        # a rotation by -angle about an axis is one by angle about its reverse
-        baseline = square_pulse(pulse.duration, angle=abs(float(angle)), n_samples=256)
+        if target is None:
+            target = propagate(pulse, 0.0, refinement=sweep.refinement)
+        # the angle in [0, pi] of the rotation, however the target spells it
+        _, angle = unitary_axis_angle(target)
+        baseline = square_pulse(pulse.duration, angle=angle, n_samples=256)
         base_sweep = infidelity_sweep(
             baseline, target=None, delta_beta=sweep.delta_beta
         )

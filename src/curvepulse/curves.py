@@ -23,6 +23,7 @@ from ._numerics import (
     pchip,
 )
 from .errors import InputError
+from .su2 import _proper_rotation
 
 DEFAULT_SAMPLES = 4096
 _MIN_SAMPLES = 64
@@ -87,11 +88,10 @@ class SpaceCurve:
         return float(np.linalg.norm(self.points[-1] - self.points[0]))
 
     def transformed(self, rotation=None, translation=None):
-        """Rigid copy: points @ rotation.T + translation."""
+        """Rigid copy: points @ rotation.T + translation, for a proper rotation."""
         pts = self.points
         if rotation is not None:
-            rotation = np.asarray(rotation, dtype=float)
-            pts = pts @ rotation.T
+            pts = pts @ _proper_rotation(rotation).T
         if translation is not None:
             pts = pts + np.asarray(translation, dtype=float)
         return SpaceCurve(self.t.copy(), pts, self.source_tag)

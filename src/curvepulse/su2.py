@@ -119,13 +119,19 @@ def unitary_axis_angle(u):
     return axis, float(angle)
 
 
-def unitary_from_rotation(r):
-    """One of the two SU(2) preimages of a proper rotation (global sign free)."""
+def _proper_rotation(r):
+    """r as a float array, if it is orthogonal within 1e-6 with det > 0."""
     r = np.asarray(r, dtype=float)
     if r.shape != (3, 3) or np.max(np.abs(r @ r.T - np.eye(3))) > 1e-6:
         raise InputError("not an orthogonal 3x3 matrix")
     if np.linalg.det(r) < 0:
         raise InputError("not a rotation: the matrix has determinant -1")
+    return r
+
+
+def unitary_from_rotation(r):
+    """One of the two SU(2) preimages of a proper rotation (global sign free)."""
+    r = _proper_rotation(r)
     # quaternion extraction for the adjoint convention used above
     q = np.empty(4)
     tr = np.trace(r)

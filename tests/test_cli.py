@@ -345,7 +345,7 @@ class TestSweep:
         assert "non_robust_open_curve" not in fit["target"]["flags"]
         assert "warning" not in capsys.readouterr().err
         base = json.loads((out / "square_fit.json").read_text())
-        assert abs(base["slope"] - 2.0) < 0.2
+        assert abs(base["slope"] - 2.0) < 0.1
         data = np.loadtxt(out / "sweep.csv", delimiter=",", skiprows=1)
         assert data.shape == (12, 2)
 
@@ -381,6 +381,22 @@ class TestSweep:
             outs.append(out)
         for name in ("square_sweep.csv", "square_fit.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_square_baseline_of_an_angle_past_pi(self, tmp_path, synth_out):
+        # angle=7 and angle=7-2pi spell one rotation, up to the rounding of
+        # 7-2pi; both baselines turn by its angle in [0, pi]
+        outs = []
+        for k, angle in enumerate((7.0, 7.0 - 2.0 * np.pi)):
+            out = tmp_path / f"sweep{k}"
+            argv = ["sweep", "--pulse-file", str(synth_out / "pulse.csv"), "--target", "axis=1,0,0"]
+            argv += [f"angle={angle!r}", "--compare", "square", "--out", str(out)]
+            assert main(argv) == 0
+            outs.append(out)
+        fits = [json.loads((out / "square_fit.json").read_text()) for out in outs]
+        for key in ("slope", "intercept"):
+            assert fits[0][key] == pytest.approx(fits[1][key], rel=1e-12, abs=1e-12), key
+        rows = [np.loadtxt(out / "square_sweep.csv", delimiter=",", skiprows=1) for out in outs]
+        np.testing.assert_allclose(rows[0], rows[1], rtol=1e-12, atol=0.0)
 
     def test_bad_grid_exits_2(self, tmp_path, synth_out):
         rc = main(

@@ -615,6 +615,21 @@ class TestSpaceCurveValidation:
         with pytest.raises(InputError):
             cp.SpaceCurve(lam, circle, "bad")
 
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [(2.0 * np.eye(3), "not an orthogonal"), (np.diag([1.0, 1.0, -1.0]), "not a rotation")],
+        ids=["scaled", "reflection"],
+    )
+    def test_transformed_takes_proper_rotations_only(self, matrix, message):
+        # a scaled copy is no longer unit speed: its frame data would read
+        # curvature 2 on a unit circle
+        circle = cp.builtin_curve("circle", n_samples=512)
+        with pytest.raises(InputError, match=message):
+            circle.transformed(matrix)
+        c, s = np.cos(0.3), np.sin(0.3)
+        turned = circle.transformed(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]))
+        assert np.max(np.abs(cp.frenet_data(turned).curvature - 1.0)) < 1e-6
+
     def test_random_loops_unflagged(self):
         for seed in range(10):
             c = cp.random_fourier_loop(seed, n_samples=1024)
