@@ -12,9 +12,8 @@ for one Hamiltonian or a batch of them: it reduces cache-sized blocks of
 steps pairwise and chains the blocks in order.  ``su2_trajectory`` forms
 every prefix by a blocked NumPy scan.
 The frame transport is a single vectorized NumPy kernel.  The nested
-Magnus sum is an O(N^2) test oracle (``simulator.magnus_errors`` runs it
-only when asked with nested=True), vectorized per row in NumPy.  Every
-kernel has this one implementation.
+Magnus sum is an O(N^2) test oracle, vectorized per row in NumPy; no
+package code calls it.  Every kernel has this one implementation.
 
 State convention: a special-unitary 2x2 matrix is carried as the complex
 pair (u1, u2) with matrix [[u1, -conj(u2)], [u2, conj(u1)]].  One step

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._numerics import carried_unwrap as _carried_unwrap
 from ._numerics import cumtrapz_end_corrected
-from .curves import SpaceCurve, area_diagnostics
+from .curves import SpaceCurve
 from .errors import InputError
 from .simulator import MagnusErrors, _interaction_curve, _magnus_from
 from .synthesis import (
@@ -138,16 +138,19 @@ def reconstruct_from_frenet(frenet):
 def robustness_report(pulse, refinement=None):
     """Assemble closure, area, and Magnus diagnostics into a classification.
 
-    The pulse is evolved once, at `refinement` (default: magnus_errors'):
-    every number in the report comes from that one trajectory.
+    The pulse is evolved once, at `refinement` (default: magnus_errors'),
+    and every number is read off that one trajectory: closure_residual is
+    |A1|, r2_vector is A2, and projected_areas are A2/2, the areas of a
+    curve that starts at the origin.  ``area_diagnostics`` is the
+    curve-side oracle of the same integrals; the report does not run it.
     """
     rec = curve_from_pulse(pulse, refinement=refinement)
-    diag = area_diagnostics(rec.curve)
     mag = rec.magnus
     length = rec.curve.total_length
 
-    closed = diag.closure_residual <= CLOSURE_RTOL * length
-    flat = bool(np.all(np.abs(diag.projected_areas) <= AREA_RTOL * length * length))
+    closed = mag.a1_norm <= CLOSURE_RTOL * length
+    areas = 0.5 * mag.a2_vector
+    flat = bool(np.all(np.abs(areas) <= AREA_RTOL * length * length))
     if closed and flat:
         slope, label = 6, "second-order"
     elif closed:
@@ -156,9 +159,9 @@ def robustness_report(pulse, refinement=None):
         slope, label = 2, "uncorrected"
 
     return RobustnessReport(
-        closure_residual=diag.closure_residual,
-        projected_areas=diag.projected_areas,
-        r2_vector=diag.r2_vector,
+        closure_residual=mag.a1_norm,
+        projected_areas=areas,
+        r2_vector=mag.a2_vector,
         magnus_a1_norm=mag.a1_norm,
         magnus_a2_norm=mag.a2_norm,
         predicted_slope=slope,

@@ -280,10 +280,8 @@ def cmd_sweep(args):
     outputs = _write_sweep(outdir, "", sweep, target_info)
 
     if args.compare == "square":
-        if target is None:
-            target = propagate(pulse, 0.0, refinement=sweep.refinement)
         # the angle in [0, pi] of the rotation, however the target spells it
-        _, angle = unitary_axis_angle(target)
+        _, angle = unitary_axis_angle(sweep.target)
         baseline = square_pulse(pulse.duration, angle=angle, n_samples=256)
         base_sweep = infidelity_sweep(
             baseline, target=None, delta_beta=sweep.delta_beta

@@ -108,7 +108,7 @@ class FrenetData:
     valid sample, orthonormalized.  `beta` is the unwrapped angle of r'' in
     the twist-free frame that starts at start's normal; the drive phase is
     phi0 + beta - anchor, where `anchor` is beta at the first sample of
-    `reliable` (the samples where |r''| resolves an angle).
+    `reliable` (r'' above 1e-7 of its peak and the curvature noise floor).
     """
 
     t: np.ndarray
@@ -322,7 +322,9 @@ def frenet_data(curve):
     # drive angle: r'' in the twist-free frame transported from start's normal
     a, b = _accel.transport_components(pts, tangent, rddot, start[:, 1])
     mag = np.hypot(a, b)
-    reliable = mag > _PHASE_FLOOR_REL * max(float(mag.max()), 1e-300)
+    # the curvature's rounding-noise floor holds here too: on a straight run
+    # the angle of noise-level r'' turns with the curve's pose
+    reliable = mag > max(_PHASE_FLOOR_REL * float(mag.max()), noise_floor)
     beta = carried_unwrap(np.arctan2(b, a), reliable)
     idx = np.flatnonzero(reliable)
     anchor = beta[idx[0]] if idx.size else 0.0
@@ -346,7 +348,11 @@ def _shoelace(u, w):
 
 
 def area_diagnostics(curve):
-    """Closure residual, quadrature of r x rdot, and shoelace projected areas."""
+    """Closure residual, quadrature of r x rdot, and shoelace projected areas.
+
+    The curve-side oracle of robustness_report's |A1|, A2 and A2/2: five-point
+    stencils (at least 6 samples) and polygon sums, whose error falls as dt^2.
+    """
     pts = curve.points
     dt = curve.dt
     rdot = fd1(pts, dt)

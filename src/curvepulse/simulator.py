@@ -8,17 +8,17 @@ node-sampled Hamiltonian: ``propagate`` and ``infidelity_sweep`` form the
 final product (the sweep for all its noise values in one batch), and the
 noise-free interaction-frame trajectory forms every prefix, so the
 quadratures, not the stepping, limit the accuracy.  That one trajectory
-gives the space curve and both Magnus integrals by linear quadratures; the
-O(N^2) nested quadrature (``_accel.magnus_nested_r2``, one NumPy kernel)
-runs only as an opt-in test oracle (``magnus_errors(..., nested=True)``).
+gives the space curve and both Magnus integrals by linear quadratures.
+The O(N^2) nested quadrature of the second integral
+(``_accel.magnus_nested_r2``) is a test oracle; no function here runs it.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _accel
-from ._numerics import cumtrapz_end_corrected, fd1
+from ._numerics import cumtrapz_end_corrected
 from .errors import ConvergenceError, InputError
 from .su2 import Unitary2, _distance_sq, _su2_pair
 from .synthesis import PulseWaveform
@@ -41,7 +41,11 @@ class PropagationCertificate:
 
 @dataclass(frozen=True)
 class NoiseSweepResult:
-    """Quasistatic-noise sweep with its fitted log-log scaling exponent."""
+    """Quasistatic-noise sweep with its fitted log-log scaling exponent.
+
+    target is the unitary the infidelities were measured against: the given
+    target, or for target=None the sweep's own delta_beta = 0 row.
+    """
 
     delta_beta: np.ndarray
     infidelity: np.ndarray
@@ -52,6 +56,7 @@ class NoiseSweepResult:
     refinement: int
     converged: bool
     last_delta: float
+    target: Unitary2
 
 
 @dataclass(frozen=True)
@@ -59,9 +64,8 @@ class MagnusErrors:
     """First and second error integrals of the interaction-frame expansion.
 
     a1_vector is the Pauli vector of the first integral (the curve endpoint);
-    a2_vector is the real second-order vector R2 (the operator is -i R2.sigma).
-    route_disagreement compares the nested O(N^2) and single-pass quadratures;
-    it is None unless magnus_errors ran with nested=True.
+    a2_vector is the real second-order vector R2 = int r x rdot (the operator
+    is -i R2.sigma); substeps counts the trajectory's nodes.
     """
 
     a1_vector: np.ndarray
@@ -69,7 +73,6 @@ class MagnusErrors:
     a1_norm: float
     a2_norm: float
     substeps: int
-    route_disagreement: float = None
 
 
 def _substep_nodes(pulse, delta_beta, refinement):
@@ -231,6 +234,7 @@ def infidelity_sweep(pulse, target=None, delta_beta=None, refinement=None):
         cert.refinement,
         cert.converged,
         cert.last_delta,
+        Unitary2(*pair),
     )
 
 
@@ -272,14 +276,6 @@ def _magnus_from(v, positions, dt):
     )
 
 
-def _a2_end_correction(v, dt):
-    # Euler-Maclaurin correction of the cumulative inner integral, applied
-    # identically to both quadrature routes.
-    vdot = fd1(v, dt)
-    delta_r = dt * dt / 12.0 * (vdot[0][None, :] - vdot)
-    return np.trapezoid(np.cross(delta_r, v), dx=dt, axis=0)
-
-
 def magnus_errors(pulse, refinement=None, nested=False):
     """First- and second-order error integrals from the actual evolution.
 
@@ -287,26 +283,15 @@ def magnus_errors(pulse, refinement=None, nested=False):
     and integrated by end-corrected trapezoid rules: A1 is the endpoint of
     the resulting curve, A2 a single-pass accumulation on its prefixes.
     This is the trajectory ``curve_from_pulse`` reads, under the same
-    default refinement.  nested=True also runs the literal O(N^2) nested
-    trapezoid (capped at MAGNUS_SUBSTEP_CAP substeps) as a test oracle and
-    reports its disagreement; route_disagreement is None otherwise.
-    nested="auto" is accepted as a synonym for False.
+    default refinement.  nested accepts only False and its synonym "auto";
+    any other value, True included, raises InputError: the O(N^2) nested
+    quadrature of A2 is a test oracle, not an option.
     """
-    # "auto" is kept only for perfbench/stages.py, which passes it
-    if not (isinstance(nested, bool) or nested == "auto"):
-        raise InputError(f"nested must be True or False, got {nested!r}")
+    # nested survives only for perfbench/stages.py, which passes both values
+    if nested is not False and nested != "auto":
+        raise InputError(f"nested must be False or 'auto', got {nested!r}")
     _, _, v, positions, dt, _ = _interaction_curve(pulse, refinement)
-    mag = _magnus_from(v, positions, dt)
-    if nested is not True:
-        return mag
-    if mag.substeps > MAGNUS_SUBSTEP_CAP:
-        raise InputError(
-            f"nested route limited to {MAGNUS_SUBSTEP_CAP} substeps, got {mag.substeps}"
-        )
-    a2_nested = _accel.magnus_nested_r2(v[:, 0], v[:, 1], v[:, 2], dt)
-    a2_nested = a2_nested + _a2_end_correction(v, dt)
-    disagreement = float(np.max(np.abs(a2_nested - mag.a2_vector)))
-    return replace(mag, route_disagreement=disagreement)
+    return _magnus_from(v, positions, dt)
 
 
 def square_pulse(duration, angle=np.pi, n_samples=256):

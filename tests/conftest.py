@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import curvepulse as cp
+from curvepulse import _accel
 from curvepulse._numerics import cumtrapz, fd1
+from curvepulse.simulator import interaction_tangent, u0_trajectory
 from curvepulse.su2 import IDENTITY, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 BUILTINS = list(cp.BUILTIN_CURVES)
@@ -118,6 +120,23 @@ def magnus_nested_loop(vx, vy, vz, dt):
         r2y += wi * (az * vx[i] - ax * vz[i])
         r2z += wi * (ax * vy[i] - ay * vx[i])
     return r2x, r2y, r2z
+
+
+def magnus_a2_nested(pulse, refinement):
+    """A2 of a pulse by the O(N^2) nested quadrature: the oracle for magnus_errors.
+
+    The noise axis v = U0^dag sz U0 is read off the noise-free trajectory at
+    `refinement`; the inner integral r(t) is the nested trapezoid of
+    ``_accel.magnus_nested_r2`` plus the Euler-Maclaurin correction
+    dt^2/12 (vdot(0) - vdot(t)) that magnus_errors' end-corrected prefixes
+    carry, so both routes are accurate to the same order.
+    """
+    u1, u2, dt = u0_trajectory(pulse, refinement)
+    v = interaction_tangent(u1, u2)
+    vdot = fd1(v, dt)
+    delta_r = dt * dt / 12.0 * (vdot[0] - vdot)
+    correction = np.trapezoid(np.cross(delta_r, v), dx=dt, axis=0)
+    return _accel.magnus_nested_r2(v[:, 0], v[:, 1], v[:, 2], dt) + correction
 
 
 def third_order_vector(curve):

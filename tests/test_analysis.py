@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -78,22 +80,46 @@ class TestRobustnessReport:
         assert report.predicted_slope == 2
 
     def test_magnus_identity(self, builtin_pulses):
-        report = cp.robustness_report(builtin_pulses["alpha_eq12"])
-        assert abs(report.magnus_a1_norm - report.closure_residual) < 1e-8
-        assert np.max(np.abs(report.r2_vector - cp.magnus_errors(builtin_pulses["alpha_eq12"]).a2_vector)) < 1e-8
+        # every reported integral is read off the trajectory magnus_errors reads
+        pulse = builtin_pulses["alpha_eq12"]
+        report = cp.robustness_report(pulse)
+        mag = cp.magnus_errors(pulse)
+        assert report.magnus_a1_norm == report.closure_residual
+        assert np.array_equal(report.r2_vector, mag.a2_vector)
+        assert np.array_equal(report.projected_areas, 0.5 * mag.a2_vector)
 
     def test_nested_route_not_run(self, builtin_pulses, tmp_path, monkeypatch):
-        # the O(N^2) nested quadrature is a test oracle; no output reads it
-        def nested_called(*args):
-            raise AssertionError("robustness_report ran the nested Magnus route")
+        # the O(N^2) nested quadrature and the curve-side area quadrature are
+        # test oracles; no output reads them
+        def oracle_called(*args):
+            raise AssertionError("robustness_report ran a test oracle")
 
-        monkeypatch.setattr(_accel, "magnus_nested_r2", nested_called)
+        monkeypatch.setattr(_accel, "magnus_nested_r2", oracle_called)
+        for module in (cp, cp.curves, cp.analysis):
+            monkeypatch.setattr(module, "area_diagnostics", oracle_called, raising=False)
         pulse = builtin_pulses["circle"]
         assert cp.robustness_report(pulse).classification == "first-order"
         cp.save_pulse_csv(pulse, tmp_path / "circle.csv")
         out = tmp_path / "an"
         assert main(["analyze", "--pulse-file", str(tmp_path / "circle.csv"), "--out", str(out)]) == 0
         assert (out / "report.json").exists()
+
+    @pytest.mark.parametrize("n_samples", [2, 3, 5])
+    def test_few_sample_pulse(self, tmp_path, n_samples):
+        # a constant pi drive over T = 1 traces the semicircle
+        # (0, (1 - cos pi t)/pi, sin(pi t)/pi): |A1| = 2/pi and A2 = (-1/pi, 0, 0).
+        # The reader accepts two samples, and the trajectory has about 8192
+        # nodes whatever the sample count, so analyze takes them too.
+        t = np.linspace(0.0, 1.0, n_samples)
+        pulse = cp.PulseWaveform(t, np.full(n_samples, np.pi), np.zeros(n_samples))
+        cp.save_pulse_csv(pulse, tmp_path / "pi.csv")
+        out = tmp_path / "an"
+        assert main(["analyze", "--pulse-file", str(tmp_path / "pi.csv"), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["n_samples"] == n_samples
+        assert abs(report["closure_residual"] - 2.0 / np.pi) < 1e-12
+        assert np.max(np.abs(np.array(report["r2_vector"]) - [-1.0 / np.pi, 0.0, 0.0])) < 1e-12
+        assert report["classification"] == "uncorrected"
 
     def test_one_evolution_per_audit(self, builtin_pulses, tmp_path, monkeypatch):
         # curve, closure and both Magnus integrals come from one trajectory
@@ -135,8 +161,6 @@ class TestRobustnessReport:
         assert report.classification != "second-order"
 
     def test_report_dict_serializable(self, builtin_pulses):
-        import json
-
         report = cp.robustness_report(builtin_pulses["circle"])
         text = json.dumps(report.to_dict(), sort_keys=True)
         assert "closure_residual" in text
@@ -162,6 +186,24 @@ class TestOracleAgreement:
             mag = cp.magnus_errors(pulse)
             assert abs(rec.curve.closure_residual() - mag.a1_norm) < 1e-8, seed
             assert np.max(np.abs(diag.r2_vector - mag.a2_vector)) < 1e-8, seed
+
+    def test_report_against_curve_quadratures(self, builtin_pulses):
+        # area_diagnostics of the reported curve checks the report: the same
+        # closure, a stencil quadrature of r x rdot that agrees with A2, and
+        # shoelace areas, a polygon rule whose error falls as dt^2, near A2/2
+        for name, pulse in builtin_pulses.items():
+            report = cp.robustness_report(pulse)
+            diag = cp.area_diagnostics(report.reconstructed_curve)
+            scale = report.curve_length**2
+            assert diag.closure_residual == report.closure_residual, name
+            assert np.max(np.abs(diag.r2_vector - report.r2_vector)) < 1e-9 * scale, name
+            assert np.max(np.abs(diag.projected_areas - report.projected_areas)) < 1e-7 * scale, name
+        errors = []
+        for n in (1024, 2048):
+            report = cp.robustness_report(cp.synthetic_smooth_pulse(3, n_samples=n))
+            diag = cp.area_diagnostics(report.reconstructed_curve)
+            errors.append(np.max(np.abs(diag.projected_areas - report.projected_areas)))
+        assert errors[0] > 3.5 * errors[1], errors
 
 
 class TestRoundtrip:

@@ -349,6 +349,29 @@ class TestSweep:
         data = np.loadtxt(out / "sweep.csv", delimiter=",", skiprows=1)
         assert data.shape == (12, 2)
 
+    def test_square_baseline_of_the_self_target(self, tmp_path, monkeypatch):
+        # the self target is the sweep's delta_beta = 0 row: the baseline's
+        # angle is read off it, so the pulse is evolved once per refinement
+        pulse = cp.pulses_from_curve(cp.frenet_data(cp.builtin_curve("clifford_fig1", n_samples=1024)))
+        cp.save_pulse_csv(pulse, tmp_path / "p.csv")
+        nodes = []
+        product = _accel.su2_product
+
+        def counted(hx, hy, hz, dt):
+            nodes.append(hx.shape[-1])
+            return product(hx, hy, hz, dt)
+
+        monkeypatch.setattr(_accel, "su2_product", counted)
+        out = tmp_path / "sq"
+        assert main(["sweep", "--pulse-file", str(tmp_path / "p.csv"), "--compare", "square", "--out", str(out)]) == 0
+        fit = json.loads((out / "fit.json").read_text())
+        pulse_nodes = [1023 * 2**k + 1 for k in range(7)]
+        evolved = [m for m in nodes if m in pulse_nodes]
+        assert evolved == pulse_nodes[: len(evolved)]
+        assert evolved[-1] == 1023 * fit["refinement"] + 1
+        square = json.loads((out / "square_fit.json").read_text())
+        assert abs(square["slope"] - 2.0) < 0.1
+
     def test_axis_angle_target(self, tmp_path, synth_out):
         out = tmp_path / "sweep2"
         rc = main(

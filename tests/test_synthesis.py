@@ -130,6 +130,24 @@ class TestRigidInvariance:
             g2 = cp.target_gate_from_curve(c2, phi0=0.4)
             assert cp.gate_distance(g1.unitary, g2.unitary) < 1e-8
 
+    @pytest.mark.parametrize("samples", [6000, 8192])
+    def test_rotated_stadium_gate(self, tmp_path, samples):
+        # the benchmark's stadium starts and ends on straight runs, where r''
+        # is rounding noise whose angle turns with the pose; counted as a
+        # drive phase it set the end phase, and both gate readouts landed up
+        # to 4.5e-4 from the evolution of the same pulse
+        cp.save_curve_csv(stadium_rows(1.0, 1.0, 513), tmp_path / "stadium.csv")
+        cz, sz, cx, sx = np.cos(0.3), np.sin(0.3), np.cos(1.2), np.sin(1.2)
+        rz = np.array([[cz, -sz, 0.0], [sz, cz, 0.0], [0.0, 0.0, 1.0]])
+        rx = np.array([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]])
+        curve = cp.load_curve(tmp_path / "stadium.csv", n_samples=samples)
+        curve = curve.transformed(rotation=rz @ rx)
+        frenet = cp.frenet_data(curve)
+        u = cp.propagate(cp.pulses_from_curve(frenet), 0.0)
+        endpoint = cp.target_gate_from_curve(curve, frenet).unitary
+        assert cp.gate_distance(endpoint, u) < 1e-6
+        assert cp.gate_distance(gate_from_frame(frenet), u) < 1e-6
+
 
 class TestFrameTransforms:
     def test_zero_detuning_passthrough(self):
