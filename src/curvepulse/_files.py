@@ -383,30 +383,17 @@ _LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 _NOT_NEWLINE = re.compile(rb"[^\r\n]")
 
 
-def _lines(text):
-    """The lines of text, one str at a time.
+def _lines(text, end):
+    """The lines of text, one str at a time; end[0] is kept just past the last.
 
     A StringIO would hold a second copy of the text at four bytes a
-    character; this holds one line.
+    character; this holds one line.  csv.reader pulls one line at a time up
+    to the end of a record, so the header's reader leaves the rest of the
+    lines, unsplit, to the row parser's.
     """
-    return (m.group() for m in _LINE.finditer(text))
-
-
-def _csv_header(text):
-    """The first CSV record of text, and the offset just past its last line.
-
-    csv.reader pulls lines one at a time, so a quoted field may still span
-    lines, and it stops at the end of the record.
-    """
-    end = 0
-
-    def lines():
-        nonlocal end
-        for m in _LINE.finditer(text):
-            end = m.end()
-            yield m.group()
-
-    return next(csv.reader(lines()), None), end
+    for m in _LINE.finditer(text):
+        end[0] = m.end()
+        yield m.group()
 
 
 def _load_csv_body(raw, start):
@@ -427,14 +414,12 @@ def _load_csv_body(raw, start):
         return None
 
 
-def _numbered_csv_rows(text):
-    """(line number, cells) of every non-empty CSV row after the header.
+def _numbered_csv_rows(lines):
+    """(line number, cells) of every non-empty CSV row left in lines, from 2.
 
-    A generator, so its pass over the text is made only if parse_rows runs.
+    A generator, so its reader is made only if parse_rows runs.
     """
-    reader = csv.reader(_lines(text))
-    next(reader)
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(csv.reader(lines), start=2):
         if row:
             yield lineno, row
 
@@ -474,14 +459,16 @@ def read_table(path, header_spec, min_rows, json_rows):
         )
     else:
         payload = None
-        header, end = _csv_header(text)
+        end = [0]
+        lines = _lines(text, end)
+        header = next(csv.reader(lines), None)
         if header is None:
             raise InputError(f"{where}: empty file")
         header = tuple(h.strip() for h in header)
         if header not in _headers(header_spec):
             raise InputError(f"{where}: expected header {header_spec}")
-        data = _load_csv_body(raw, len(text[:end].encode("utf-8")))
-        numbered = _numbered_csv_rows(text)
+        data = _load_csv_body(raw, len(text[:end[0]].encode("utf-8")))
+        numbered = _numbered_csv_rows(lines)
     if data is None or not _accepted(data, len(header), min_rows):
         data = parse_rows(numbered, where, len(header), min_rows)
     return Table(data, payload, digest)

@@ -1,5 +1,6 @@
-"""Finite-difference stencils and quadrature helpers on uniform grids, and
-the two cubic interpolants the curves need (PCHIP and a not-a-knot spline).
+"""The sample-grid rule, finite-difference stencils and quadrature helpers
+on uniform grids, and the two cubic interpolants the curves need (PCHIP and
+a not-a-knot spline).
 
 Interior derivatives use five-point central stencils; the two rows at each
 end use six-point one-sided stencils (Fornberg weights) so boundary values
@@ -9,6 +10,22 @@ stay at least one order better than the quantities built from them.
 import numpy as np
 
 from .errors import InputError
+
+
+def grid_fault(t):
+    """Why t is not a sample grid, or None: the one grid rule of curves and pulses.
+
+    A sample grid is 1-d, at least 2 finite samples, starting at 0, with
+    steps equal to the first within 1e-9 of it.
+    """
+    if t.ndim != 1 or t.shape[0] < 2 or not np.all(np.isfinite(t)):
+        return "time grid must be 1-d with at least 2 samples, all finite"
+    steps = np.diff(t)
+    if t[0] != 0.0 or np.any(steps <= 0):
+        return "time grid must start at 0 and increase"
+    if np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
+        return "time grid must be uniform"
+    return None
 
 
 def _fornberg_weights(z, x, m):

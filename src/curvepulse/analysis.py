@@ -13,7 +13,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from ._numerics import carried_unwrap as _carried_unwrap
-from ._numerics import cumtrapz_end_corrected
+from ._numerics import cumtrapz_end_corrected, grid_fault
 from .curves import SpaceCurve
 from .errors import InputError
 from .simulator import MagnusErrors, _interaction_curve, _magnus_from
@@ -29,6 +29,10 @@ from .synthesis import (
 _DEGEN_TOL = 1e-8
 # projected areas at most this fraction of the squared length count as zero
 AREA_RTOL = 1e-3
+# synthetic_smooth_pulse: duration, Fourier modes and coefficient scale
+_SMOOTH_DURATION = 6.0
+_SMOOTH_MODES = 4
+_SMOOTH_SCALE = 1.2
 
 
 @dataclass(frozen=True)
@@ -175,36 +179,29 @@ def robustness_report(pulse, refinement=None):
 def import_external_pulse(path):
     """Load a pulse file, validate it, and normalize it for analysis.
 
-    Non-uniform grids are resampled linearly (the worst interpolation
-    deviation is recorded).  The drive becomes (omega, phi) by
-    PulseWaveform's rule, minus the end-corrected running integral of a
-    nonzero detuning column, so analysis always runs in the transverse
-    frame.  Provenance (the hash of the bytes parsed, import timestamp) lands
-    in metadata; the timestamp never enters serialized outputs.
+    t is shifted to start at 0 first; a grid that then fails PulseWaveform's
+    grid rule (_numerics.grid_fault) is resampled linearly onto
+    np.linspace(0, T, n), with the worst deviation in resample_max_error.
+    The drive becomes (omega, phi) by PulseWaveform's rule, minus the
+    end-corrected running integral of a nonzero detuning column, so analysis
+    always runs in the transverse frame.  Provenance (the hash of the bytes
+    parsed, import timestamp) lands in metadata; the timestamp never enters
+    serialized outputs.
     """
     t, wx, wy, det, meta = read_pulse_file(path)
-    meta.update(
-        {
-            "source_file": str(path),
-            "import_timestamp": datetime.now(timezone.utc).isoformat(),
-        }
-    )
+    meta["source_file"] = str(path)
+    meta["import_timestamp"] = datetime.now(timezone.utc).isoformat()
 
-    steps = np.diff(t)
-    uniform = np.max(np.abs(steps - steps[0])) <= 1e-9 * steps[0]
-    if not uniform:
-        t_new = np.linspace(t[0], t[-1], len(t))
+    if t[0] != 0.0:
+        t = t - t[0]
+    if grid_fault(t) is not None:
+        t_new = np.linspace(0.0, t[-1], len(t))
         wx_new = np.interp(t_new, t, wx)
         wy_new = np.interp(t_new, t, wy)
         det_new = np.interp(t_new, t, det) if det is not None else None
-        back_x = np.interp(t, t_new, wx_new)
-        back_y = np.interp(t, t_new, wy_new)
-        meta["resample_max_error"] = float(
-            max(np.max(np.abs(back_x - wx)), np.max(np.abs(back_y - wy)))
-        )
+        back = np.interp(t, t_new, wx_new) - wx, np.interp(t, t_new, wy_new) - wy
+        meta["resample_max_error"] = float(max(np.max(np.abs(b)) for b in back))
         t, wx, wy, det = t_new, wx_new, wy_new, det_new
-    if t[0] != 0.0:
-        t = t - t[0]
 
     ramp = 0.0
     if det is not None and np.any(det != 0.0):
@@ -214,22 +211,24 @@ def import_external_pulse(path):
     return PulseWaveform(t, omega, phi, metadata=meta)
 
 
-def synthetic_smooth_pulse(seed, duration=6.0, n_samples=2048, n_modes=4, scale=1.2):
+def synthetic_smooth_pulse(seed, n_samples=2048):
     """Band-limited random test pulse with soft edges (zero at both ends).
 
     Stands in for externally optimized waveforms in tests and examples;
-    entirely synthetic and pinned by the seed.
+    pinned by the seed.  Over 6 time units, modes k = 1..4 of pi k t / 6
+    with normal coefficients of deviation 1.2 / k, under a sin^2 window.
     """
     rng = np.random.default_rng(seed)
-    t = np.linspace(0.0, duration, n_samples)
-    window = np.sin(np.pi * t / duration) ** 2
+    t = np.linspace(0.0, _SMOOTH_DURATION, n_samples)
+    window = np.sin(np.pi * t / _SMOOTH_DURATION) ** 2
     wx = np.zeros(n_samples)
     wy = np.zeros(n_samples)
-    for k in range(1, n_modes + 1):
-        ax, ay = rng.normal(0.0, scale / k, 2)
-        bx, by = rng.normal(0.0, scale / k, 2)
-        wx += ax * np.sin(np.pi * k * t / duration) + bx * np.cos(np.pi * k * t / duration)
-        wy += ay * np.sin(np.pi * k * t / duration) + by * np.cos(np.pi * k * t / duration)
+    for k in range(1, _SMOOTH_MODES + 1):
+        ax, ay = rng.normal(0.0, _SMOOTH_SCALE / k, 2)
+        bx, by = rng.normal(0.0, _SMOOTH_SCALE / k, 2)
+        wave = np.pi * k * t / _SMOOTH_DURATION
+        wx += ax * np.sin(wave) + bx * np.cos(wave)
+        wy += ay * np.sin(wave) + by * np.cos(wave)
     wx *= window
     wy *= window
     omega, phi = _polar(wx, wy)

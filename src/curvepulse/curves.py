@@ -19,6 +19,7 @@ from ._numerics import (
     fd1,
     fd2,
     fd3,
+    grid_fault,
     not_a_knot_spline,
     pchip,
 )
@@ -45,10 +46,12 @@ CLIFFORD_Q = 1.6054  # phase parameter of the built-in Clifford-gate curve
 
 @dataclass(frozen=True)
 class SpaceCurve:
-    """Uniformly sampled curve r(t) with t equal to arc length, r(0) = origin.
+    """Uniformly sampled curve r(t) with t equal to arc length.
 
-    t takes PulseWaveform's grid rule: at least 2 samples, starting at 0,
-    with steps equal within 1e-9 of the first.
+    t follows PulseWaveform's grid rule (_numerics.grid_fault).  Built and
+    reconstructed curves start at r(0) = 0; a translated copy (transformed
+    with translation c) starts at c, and area_diagnostics' r2_vector of an
+    open curve moves with it by c x (r(T) - r(0)).
     """
 
     t: np.ndarray
@@ -58,17 +61,13 @@ class SpaceCurve:
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
         pts = np.asarray(self.points, dtype=float)
-        if t.ndim != 1 or t.shape[0] < 2:
-            raise InputError("t must be a 1-d array of at least 2 samples")
+        fault = grid_fault(t)
+        if fault is not None:
+            raise InputError(fault)
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] != t.shape[0]:
             raise InputError("points must have shape (n, 3) matching t")
-        if not np.all(np.isfinite(t)) or not np.all(np.isfinite(pts)):
+        if not np.all(np.isfinite(pts)):
             raise InputError("non-finite curve samples")
-        steps = np.diff(t)
-        if t[0] != 0.0 or np.any(steps <= 0):
-            raise InputError("t must start at 0 and be strictly increasing")
-        if np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
-            raise InputError("t must be uniform")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "points", pts)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._files import read_table, write_csv, write_json
-from ._numerics import carried_unwrap, cumtrapz_end_corrected, fd1, fd2
+from ._numerics import carried_unwrap, cumtrapz_end_corrected, fd1, fd2, grid_fault
 from .curves import frenet_data
 from .errors import InputError, NoSolutionError
 from .su2 import (
@@ -40,6 +40,10 @@ _Z = np.array([0.0, 0.0, 1.0])
 class PulseWaveform:
     """Drive fields on a uniform time grid: envelope omega >= 0, phase phi.
 
+    t follows the one grid rule (_numerics.grid_fault): at least 2 finite
+    samples from 0, in steps equal to the first within 1e-9 of it; import
+    shifts a file's t to 0 and resamples it if the rule turns it down.
+
     Cartesian drive samples become (omega, phi) by one rule (_polar): the
     hypot envelope, and a phase held where the envelope is at most 1e-12 of
     its peak, minus the end-corrected ramp of a z field if there is one.
@@ -57,17 +61,13 @@ class PulseWaveform:
         t = np.asarray(self.t, dtype=float)
         om = np.asarray(self.omega, dtype=float)
         ph = np.asarray(self.phi, dtype=float)
-        if t.ndim != 1 or om.shape != t.shape or ph.shape != t.shape:
-            raise InputError("t, omega, phi must be 1-d arrays of equal length")
-        if t.shape[0] < 2:
-            raise InputError("waveform needs at least 2 samples")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(om)) and np.all(np.isfinite(ph))):
+        if om.shape != t.shape or ph.shape != t.shape:
+            raise InputError("t, omega, phi must be arrays of equal length")
+        fault = grid_fault(t)
+        if fault is not None:
+            raise InputError(fault)
+        if not (np.all(np.isfinite(om)) and np.all(np.isfinite(ph))):
             raise InputError("non-finite waveform values")
-        steps = np.diff(t)
-        if t[0] != 0.0 or np.any(steps <= 0):
-            raise InputError("time grid must start at 0 and increase")
-        if np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
-            raise InputError("time grid must be uniform")
         if np.any(om < 0):
             raise InputError("omega must be non-negative (signs live in phi)")
         object.__setattr__(self, "t", t)
@@ -436,10 +436,6 @@ def save_pulse_csv(pulse, path):
     return write_csv(path, header, cols)
 
 
-def _clean_metadata(metadata):
-    return {k: v for k, v in metadata.items() if k not in ("import_timestamp",)}
-
-
 def save_pulse_json(pulse, path):
     """Write omega, phi, detuning and metadata; returns the sha256 of the bytes written."""
     payload = {
@@ -447,7 +443,7 @@ def save_pulse_json(pulse, path):
         "omega": pulse.omega,
         "phi": pulse.phi,
         "detuning": pulse.detuning,
-        "metadata": _clean_metadata(pulse.metadata),
+        "metadata": {k: v for k, v in pulse.metadata.items() if k != "import_timestamp"},
     }
     return write_json(path, payload)
 

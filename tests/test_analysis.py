@@ -5,6 +5,7 @@ import pytest
 
 import curvepulse as cp
 from curvepulse import _accel
+from curvepulse._files import write_csv, write_json
 from curvepulse.cli import main
 from curvepulse.errors import InputError
 
@@ -316,6 +317,33 @@ class TestImport:
         path.write_text("time,x,y\n0,1,0\n")
         with pytest.raises(InputError, match="header"):
             cp.import_external_pulse(path)
+
+
+@pytest.mark.parametrize("t0", [1e5, 1e6, 1e8])
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_offset_time_column_imports(tmp_path, suffix, t0):
+    # a 4096-sample pulse whose t starts at t0: shifted to 0, its steps
+    # differ by about 1e-8 of dt at t0 = 1e5, so import resamples it; it
+    # used to hand that grid on, which PulseWaveform refused ("time grid
+    # must be uniform"), and analyze and sweep exited 2
+    pulse = cp.synthetic_smooth_pulse(0, n_samples=4096)
+
+    def write(start):
+        path = tmp_path / f"pulse-{start:g}{suffix}"
+        t = pulse.t + start
+        if suffix == ".csv":
+            write_csv(path, "t,omega_x,omega_y", [t, pulse.omega_x, pulse.omega_y])
+        else:
+            write_json(path, {"t": t, "omega": pulse.omega, "phi": pulse.phi, "metadata": {}})
+        return path
+
+    path = write(t0)
+    imported = cp.import_external_pulse(path)
+    assert "resample_max_error" in imported.metadata
+    gate = cp.propagate(cp.import_external_pulse(write(0.0)), 0.0)
+    assert cp.gate_distance(cp.propagate(imported, 0.0), gate) <= 1e-9
+    for command in ("analyze", "sweep"):
+        assert main([command, "--pulse-file", str(path), "--out", str(tmp_path / command)]) == 0
 
 
 class TestSyntheticPulse:

@@ -282,3 +282,51 @@ class TestWaveformValidation:
     def test_angles_recoverable(self, builtin_pulses):
         pulse = builtin_pulses["circle"]
         assert np.max(np.abs(pulse.omega_x - pulse.omega * np.cos(pulse.phi))) < 1e-12
+
+
+def _grid(case):
+    """A 16-sample grid in steps of 1/8, edited by case, and whether the rule takes it."""
+    t = np.arange(16) * 0.125
+    if case == "one_sample":
+        return t[:1], False
+    if case == "offset":
+        return t + 0.5, False
+    if case == "repeated":
+        t[5] = t[4]
+        return t, False
+    if case == "nan":
+        t[5] = np.nan
+        return t, False
+    # the step from t[8] to t[9] alone is off, by 2e-9 or 0.5e-9 of dt
+    if case == "step_off_2e-9":
+        t[9:] += 2e-9 * 0.125
+        return t, False
+    if case == "step_off_0.5e-9":
+        t[9:] += 0.5e-9 * 0.125
+        return t, True
+    return t, True
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["uniform", "one_sample", "offset", "repeated", "nan", "step_off_2e-9", "step_off_0.5e-9"],
+)
+def test_curves_and_pulses_share_the_grid_rule(case):
+    # SpaceCurve and PulseWaveform accept the same grids and turn down the
+    # rest with the same reason
+    t, accepted = _grid(case)
+    n = t.shape[0]
+    build = {
+        "curve": lambda: cp.SpaceCurve(t, np.zeros((n, 3)), "grid"),
+        "pulse": lambda: cp.PulseWaveform(t, np.ones(n), np.zeros(n)),
+    }
+    if accepted:
+        for make in build.values():
+            make()
+        return
+    reasons = set()
+    for make in build.values():
+        with pytest.raises(InputError) as err:
+            make()
+        reasons.add(str(err.value))
+    assert len(reasons) == 1, reasons
