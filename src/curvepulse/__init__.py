@@ -9,7 +9,6 @@ interaction-frame error integrals verify every claim numerically.
 __version__ = "0.1.0"
 
 from .analysis import (
-    ReconstructionResult,
     RobustnessReport,
     curve_from_pulse,
     import_external_pulse,
@@ -34,6 +33,7 @@ from .errors import ConvergenceError, CurvePulseError, InputError, NoSolutionErr
 from .simulator import (
     MagnusErrors,
     NoiseSweepResult,
+    ReconstructionResult,
     average_gate_infidelity,
     default_noise_grid,
     infidelity_sweep,

@@ -4,7 +4,8 @@ Any drive waveform defines a unit-speed curve through the running Pauli
 vector of its noise axis in the interaction frame.  Closure of that curve
 certifies first-order noise cancellation; vanishing projected areas certify
 second order.  This is how externally optimized pulses are audited, and
-how frame data rebuild their curve: through the pulse they define.
+how frame data rebuild their curve: through the pulse they define.  Each
+reads what it needs off the pulse's one trajectory record.
 """
 
 from dataclasses import dataclass
@@ -12,11 +13,10 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from ._numerics import carried_unwrap as _carried_unwrap
 from ._numerics import cumtrapz_end_corrected, grid_fault
 from .curves import SpaceCurve
 from .errors import InputError
-from .simulator import MagnusErrors, _interaction_curve, _magnus_from
+from .simulator import interaction_trajectory
 from .synthesis import (
     CLOSURE_RTOL,
     PulseWaveform,
@@ -26,25 +26,12 @@ from .synthesis import (
     read_pulse_file,
 )
 
-_DEGEN_TOL = 1e-8
 # projected areas at most this fraction of the squared length count as zero
 AREA_RTOL = 1e-3
 # synthetic_smooth_pulse: duration, Fourier modes and coefficient scale
 _SMOOTH_DURATION = 6.0
 _SMOOTH_MODES = 4
 _SMOOTH_SCALE = 1.2
-
-
-@dataclass(frozen=True)
-class ReconstructionResult:
-    """Curve, phase tracks and Magnus integrals of one trajectory."""
-
-    curve: SpaceCurve
-    theta: np.ndarray
-    phi_angle: np.ndarray
-    unit_speed_error: float
-    refinement: int
-    magnus: MagnusErrors
 
 
 @dataclass(frozen=True)
@@ -87,41 +74,17 @@ class RobustnessReport:
         }
 
 
-def _pulse_curve(pulse, refinement=None):
-    # the pulse's interaction-frame curve on its own grid, and the
-    # trajectory it was read off (see simulator._interaction_curve); callers
-    # that need only the curve skip the phase tracks and Magnus integrals
-    trajectory = _interaction_curve(pulse, refinement)
-    _, _, _, positions, _, step = trajectory
-    curve = SpaceCurve(pulse.t.copy(), positions[::step], source_tag="reconstructed")
-    return curve, trajectory
-
-
 def curve_from_pulse(pulse, refinement=None):
-    """Integrate the noise axis of a pulse into its space curve.
+    """The interaction-frame trajectory of a pulse, a ReconstructionResult.
 
-    Also tracks the evolution phase angles theta(t), phi(t) continuously
-    through the chart degeneracies, and carries the Magnus integrals of the
-    same trajectory.  The curve is returned on the pulse's own grid; the
-    default refinement is magnus_errors'.  The curve is unit speed by
-    construction; unit_speed_error reports the rounding left.
+    Its curve is the noise axis integrated on the pulse's own grid, and its
+    theta(t), phi(t) are the evolution phase angles, tracked continuously
+    through the chart degeneracies.  The default refinement is
+    magnus_errors'.
     """
     if not isinstance(pulse, PulseWaveform):
         raise InputError("curve_from_pulse expects a PulseWaveform")
-    curve, (u1, u2, v, positions, dt, step) = _pulse_curve(pulse, refinement)
-    speed_err = float(np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)))
-
-    # phase tracks: arg(u1) = (theta+phi)/2, arg(i u2) = (phi-theta)/2
-    phi0 = float(pulse.phi[0])
-    a_sum = _carried_unwrap(np.angle(u1), np.abs(u1) > _DEGEN_TOL, seed=0.0)
-    a_diff = _carried_unwrap(np.angle(1j * u2), np.abs(u2) > _DEGEN_TOL, seed=phi0)
-    theta = a_sum - a_diff
-    phi_angle = a_sum + a_diff
-
-    magnus = _magnus_from(v, positions, dt)
-    return ReconstructionResult(
-        curve, theta[::step], phi_angle[::step], speed_err, step, magnus
-    )
+    return interaction_trajectory(pulse, refinement)
 
 
 def reconstruct_from_frenet(frenet):
@@ -130,12 +93,12 @@ def reconstruct_from_frenet(frenet):
     Curvature and torsion are the envelope and phase velocity of a pulse,
     and the curve is that pulse's interaction-frame trajectory, so the
     rebuild is the curve of pulses_from_curve(frenet): the same Magnus4
-    trajectory as reverse analysis, without its phase tracks and Magnus
-    integrals.  That curve starts at the origin in the canonical pose
-    (tangent +z, normal +y) and is turned rigidly into the pose of
-    frenet.start.  Returns positions on the frame-data grid.
+    trajectory as reverse analysis, read for its curve only.  That curve
+    starts at the origin in the canonical pose (tangent +z, normal +y) and
+    is turned rigidly into the pose of frenet.start.  Returns positions on
+    the frame-data grid.
     """
-    points = _pulse_curve(pulses_from_curve(frenet))[0].points
+    points = interaction_trajectory(pulses_from_curve(frenet)).curve.points
     return points @ (frenet.start @ canonical_frame(0.0).T).T
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import __version__
 from ._files import write_csv, write_json
-from .analysis import _pulse_curve, import_external_pulse, robustness_report
+from .analysis import import_external_pulse, robustness_report
 from .curves import (
     BUILTIN_CURVES,
     _load_curve_hashed,
@@ -25,6 +25,7 @@ from .simulator import (
     MAX_REFINEMENT,
     average_gate_infidelity,
     infidelity_sweep,
+    interaction_trajectory,
     propagate,
     square_pulse,
 )
@@ -41,12 +42,16 @@ def _write_json(path, payload):
     return write_json(path, payload, indent=2)
 
 
-def _write_manifest(outdir, command, config, inputs, outputs):
-    """inputs maps each input file's name to the sha256 of the bytes read,
-    outputs each output file's name to the sha256 of the bytes written."""
+def _write_manifest(outdir, args, inputs, outputs):
+    """config is every parsed option but --out; inputs maps each input
+    file's name to the sha256 of the bytes read, outputs each output file's
+    name to the sha256 of the bytes written."""
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "out", "func")}
+    if "param" in config:
+        config["param"] = sorted(config["param"] or [])
     manifest = {
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "config": config,
         "inputs": inputs,
         "outputs": outputs,
@@ -144,15 +149,7 @@ def cmd_synth(args):
             "propagation_infidelity": selfcheck_infid,
         },
     )
-    config = {
-        "builtin": args.builtin,
-        "curve_file": args.curve_file,
-        "param": sorted(args.param or []),
-        "phi0": args.phi0,
-        "samples": args.samples,
-        "refinement": args.refinement,
-    }
-    _write_manifest(outdir, "synth", config, inputs, outputs)
+    _write_manifest(outdir, args, inputs, outputs)
     return 0
 
 
@@ -169,19 +166,15 @@ def cmd_analyze(args):
         "curve.csv": save_curve_csv(curve, outdir / "curve.csv"),
         "theta.csv": write_csv(outdir / "theta.csv", "t,theta", [curve.t, report.theta_track]),
     }
-    config = {
-        "pulse_file": str(args.pulse_file),
-        "refinement": args.refinement,
-    }
-    _write_manifest(outdir, "analyze", config, inputs, outputs)
+    _write_manifest(outdir, args, inputs, outputs)
     return 0
 
 
 def _parse_target(tokens, pulse, refinement):
     if not tokens or tokens == ["from-curve"]:
         if tokens:
-            # index, not unpack: the trajectory is released before the gate is read
-            curve = _pulse_curve(pulse, refinement)[0]
+            # read, not bound: the trajectory is released before the gate is read
+            curve = interaction_trajectory(pulse, refinement).curve
             gate = target_gate_from_curve(curve, phi0=float(pulse.phi[0]))
             if "non_robust_open_curve" in gate.flags:
                 print(
@@ -288,15 +281,7 @@ def cmd_sweep(args):
         )
         outputs.update(_write_sweep(outdir, "square_", base_sweep, {"kind": "square-baseline"}))
 
-    config = {
-        "pulse_file": str(args.pulse_file),
-        "target": args.target,
-        "grid": args.grid,
-        "compare": args.compare,
-        "refinement": args.refinement,
-        "certify": args.certify,
-    }
-    _write_manifest(outdir, "sweep", config, inputs, outputs)
+    _write_manifest(outdir, args, inputs, outputs)
     return 0
 
 

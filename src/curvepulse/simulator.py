@@ -8,17 +8,21 @@ node-sampled Hamiltonian: ``propagate`` and ``infidelity_sweep`` form the
 final product (the sweep for all its noise values in one batch), and the
 noise-free interaction-frame trajectory forms every prefix, so the
 quadratures, not the stepping, limit the accuracy.  That one trajectory
-gives the space curve and both Magnus integrals by linear quadratures.
+is one record (``ReconstructionResult``, built by
+``interaction_trajectory``); its space curve, phase tracks and both Magnus
+integrals are formed on first read, the integrals by linear quadratures.
 The O(N^2) nested quadrature of the second integral
 (``_accel.magnus_nested_r2``) is a test oracle; no function here runs it.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import _accel
-from ._numerics import cumtrapz_end_corrected
+from ._numerics import carried_unwrap, cumtrapz_end_corrected
+from .curves import SpaceCurve
 from .errors import ConvergenceError, InputError
 from .su2 import Unitary2, _distance_sq, _su2_pair
 from .synthesis import PulseWaveform
@@ -26,6 +30,8 @@ from .synthesis import PulseWaveform
 MAX_REFINEMENT = 64
 MAGNUS_SUBSTEP_CAP = 8192
 _CONVERGENCE_TOL = 1e-8
+# |u1| or |u2| at or below this leaves its phase undefined
+_DEGEN_TOL = 1e-8
 # sweep infidelities at or below this sit in the double-precision noise
 INFIDELITY_FLOOR = 1e-13
 # the default sweep grid spans delta_beta * duration from _GRID_LO to _GRID_HI
@@ -246,34 +252,79 @@ def interaction_tangent(u1, u2):
     return np.stack([vx, vy, vz], axis=1)
 
 
-def u0_trajectory(pulse, refinement):
-    """Noise-free evolution at every substep node."""
-    hx, hy, hz, dt = _substep_nodes(pulse, 0.0, refinement)
-    u1, u2 = _accel.su2_trajectory(hx, hy, hz, dt)
-    return u1, u2, dt
+@dataclass(frozen=True)
+class ReconstructionResult:
+    """The noise-free interaction-frame trajectory of one pulse.
+
+    u1, u2 are the evolution at every substep node (refinement substeps per
+    sample interval, dt apart), v = U0^dag sz U0 the noise axis there and
+    positions its end-corrected running integral.  The curve, the phase
+    tracks theta and phi_angle (both on the pulse's grid), magnus and
+    unit_speed_error (the rounding left on v, unit by construction as every
+    node is normalized) are formed on first read.
+    """
+
+    pulse: PulseWaveform
+    u1: np.ndarray
+    u2: np.ndarray
+    v: np.ndarray
+    positions: np.ndarray
+    dt: float
+    refinement: int
+
+    @cached_property
+    def curve(self):
+        """The space curve on the pulse's own grid."""
+        points = self.positions[:: self.refinement]
+        return SpaceCurve(self.pulse.t.copy(), points, source_tag="reconstructed")
+
+    @cached_property
+    def _half_angles(self):
+        # arg(u1) = (theta+phi)/2 and arg(i u2) = (phi-theta)/2, unwrapped
+        # over every node through the chart degeneracies, on the pulse grid
+        phi0 = float(self.pulse.phi[0])
+        a_sum = carried_unwrap(np.angle(self.u1), np.abs(self.u1) > _DEGEN_TOL, seed=0.0)
+        a_diff = carried_unwrap(np.angle(1j * self.u2), np.abs(self.u2) > _DEGEN_TOL, seed=phi0)
+        return a_sum[:: self.refinement], a_diff[:: self.refinement]
+
+    @cached_property
+    def theta(self):
+        a_sum, a_diff = self._half_angles
+        return a_sum - a_diff
+
+    @cached_property
+    def phi_angle(self):
+        a_sum, a_diff = self._half_angles
+        return a_sum + a_diff
+
+    @cached_property
+    def unit_speed_error(self):
+        return float(np.max(np.abs(np.linalg.norm(self.v, axis=1) - 1.0)))
+
+    @cached_property
+    def magnus(self):
+        # A1 is the curve endpoint; A2 the single-pass quadrature of r x v on
+        # the corrected prefixes, linear in the substep count
+        a1 = self.positions[-1].copy()
+        a2 = np.trapezoid(np.cross(self.positions, self.v), dx=self.dt, axis=0)
+        return MagnusErrors(
+            a1, a2, float(np.linalg.norm(a1)), float(np.linalg.norm(a2)), len(self.v)
+        )
 
 
-def _interaction_curve(pulse, refinement=None):
-    # the one noise-free evolution behind reverse analysis: (u1, u2) at every
-    # substep node, the noise axis v = U0^dag sz U0 (unit speed, as every
-    # node is normalized), its end-corrected running integral (the curve),
-    # dt and the refinement; by default at most MAGNUS_SUBSTEP_CAP substeps
+def interaction_trajectory(pulse, refinement=None):
+    """The one noise-free evolution behind reverse analysis, as a record.
+
+    By default the refinement puts at most MAGNUS_SUBSTEP_CAP substeps on it.
+    """
     if refinement is None:
         refinement = max(1, (MAGNUS_SUBSTEP_CAP - 1) // (pulse.n_samples - 1))
     refinement = int(refinement)
-    u1, u2, dt = u0_trajectory(pulse, refinement)
+    hx, hy, hz, dt = _substep_nodes(pulse, 0.0, refinement)
+    u1, u2 = _accel.su2_trajectory(hx, hy, hz, dt)
     v = interaction_tangent(u1, u2)
-    return u1, u2, v, cumtrapz_end_corrected(v, dt), dt, refinement
-
-
-def _magnus_from(v, positions, dt):
-    # A1 is the curve endpoint; A2 the single-pass quadrature of r x v on
-    # the corrected prefixes, linear in the substep count
-    a1 = positions[-1].copy()
-    a2 = np.trapezoid(np.cross(positions, v), dx=dt, axis=0)
-    return MagnusErrors(
-        a1, a2, float(np.linalg.norm(a1)), float(np.linalg.norm(a2)), len(v)
-    )
+    positions = cumtrapz_end_corrected(v, dt)
+    return ReconstructionResult(pulse, u1, u2, v, positions, dt, refinement)
 
 
 def magnus_errors(pulse, refinement=None, nested=False):
@@ -290,8 +341,7 @@ def magnus_errors(pulse, refinement=None, nested=False):
     # nested survives only for perfbench/stages.py, which passes both values
     if nested is not False and nested != "auto":
         raise InputError(f"nested must be False or 'auto', got {nested!r}")
-    _, _, v, positions, dt, _ = _interaction_curve(pulse, refinement)
-    return _magnus_from(v, positions, dt)
+    return interaction_trajectory(pulse, refinement).magnus
 
 
 def square_pulse(duration, angle=np.pi, n_samples=256):

@@ -7,7 +7,7 @@ import pytest
 import curvepulse as cp
 from curvepulse import _accel
 from curvepulse._numerics import cumtrapz, fd1
-from curvepulse.simulator import interaction_tangent, u0_trajectory
+from curvepulse.simulator import interaction_trajectory
 from curvepulse.su2 import IDENTITY, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 BUILTINS = list(cp.BUILTIN_CURVES)
@@ -131,8 +131,8 @@ def magnus_a2_nested(pulse, refinement):
     dt^2/12 (vdot(0) - vdot(t)) that magnus_errors' end-corrected prefixes
     carry, so both routes are accurate to the same order.
     """
-    u1, u2, dt = u0_trajectory(pulse, refinement)
-    v = interaction_tangent(u1, u2)
+    rec = interaction_trajectory(pulse, refinement)
+    v, dt = rec.v, rec.dt
     vdot = fd1(v, dt)
     delta_r = dt * dt / 12.0 * (vdot[0] - vdot)
     correction = np.trapezoid(np.cross(delta_r, v), dx=dt, axis=0)

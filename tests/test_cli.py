@@ -1,3 +1,4 @@
+import argparse
 import builtins
 import hashlib
 import json
@@ -284,10 +285,10 @@ class TestAnalyze:
 class TestSweep:
     def test_from_curve_target_uses_refinement(self, tmp_path, synth_out, monkeypatch):
         # the target curve is evolved at the sweep's --refinement, and at
-        # the default refinement when none is given, by the curve-only
-        # helper: no phase tracks or Magnus integrals are formed
+        # the default refinement when none is given, by the trajectory
+        # builder, read for its curve only
         seen = []
-        inner = cli._pulse_curve
+        inner = cli.interaction_trajectory
 
         def recording(pulse, refinement=None):
             seen.append(refinement)
@@ -296,13 +297,25 @@ class TestSweep:
         def unused(*args, **kwargs):
             raise AssertionError("curve_from_pulse called")
 
-        monkeypatch.setattr(cli, "_pulse_curve", recording)
+        monkeypatch.setattr(cli, "interaction_trajectory", recording)
         monkeypatch.setattr(cp.analysis, "curve_from_pulse", unused)
         args = ["sweep", "--pulse-file", str(synth_out / "pulse.csv"), "--target", "from-curve"]
         args += ["--grid", "1e-3:4e-2:5"]
         assert main(args + ["--refinement", "4", "--out", str(tmp_path / "r4")]) == 0
         assert main(args + ["--out", str(tmp_path / "auto")]) == 0
         assert seen == [4, None]
+
+    def test_curve_readers_form_no_magnus_integral(self, tmp_path, synth_out, monkeypatch):
+        # the from-curve target and reconstruct_from_frenet read the
+        # trajectory's curve and nothing else of it
+        def unused(*args, **kwargs):
+            raise AssertionError("Magnus integrals formed")
+
+        monkeypatch.setattr(cp.simulator, "MagnusErrors", unused)
+        args = ["sweep", "--pulse-file", str(synth_out / "pulse.csv"), "--target", "from-curve"]
+        assert main(args + ["--grid", "1e-3:4e-2:5", "--out", str(tmp_path / "fc")]) == 0
+        frenet = cp.frenet_data(cp.builtin_curve("circle", n_samples=256))
+        assert cp.reconstruct_from_frenet(frenet).shape == (256, 3)
 
     def test_open_curve_target_flagged(self, tmp_path, capsys):
         # an open curve's target carries its flags into fit.json and warns
@@ -543,6 +556,21 @@ class TestParser:
         assert fit["target"] == {"kind": "self"}
         config = json.loads((tmp_path / "self" / "manifest.json").read_text())["config"]
         assert config["target"] is None
+
+    @pytest.mark.parametrize("command", ["synth", "analyze", "sweep"])
+    def test_manifest_config_is_every_option(self, command, tmp_path, synth_out):
+        # the manifest's config records each of the subcommand's options,
+        # --out aside, under its parser dest
+        argv = {
+            "synth": ["--builtin", "circle", "--samples", "256"],
+            "analyze": ["--pulse-file", str(synth_out / "pulse.csv")],
+            "sweep": ["--pulse-file", str(synth_out / "pulse.csv"), "--grid", "1e-3:4e-2:5"],
+        }[command]
+        assert main([command, *argv, "--out", str(tmp_path)]) == 0
+        config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+        assert set(config) == dests - {"out"}
 
 
 class TestCsvWriter:

@@ -401,16 +401,16 @@ class TestFrenet:
         err = np.max(np.linalg.norm(rebuilt - (moved.points - moved.points[0]), axis=1))
         assert err < 1e-5 * c.total_length
 
-    def test_reconstruction_is_the_pulse_curve(self, builtin_frenet, monkeypatch):
+    def test_reconstruction_is_the_curve_of_its_pulse(self, builtin_frenet, monkeypatch):
         # the rebuild is reverse analysis' curve of the frame data's pulse,
-        # read without the phase tracks that only curve_from_pulse reports
+        # read without the phase tracks, which only robustness_report reads
         f = builtin_frenet["clifford_fig1"]
         want = cp.curve_from_pulse(cp.pulses_from_curve(f)).curve.points
 
         def unused(*args, **kwargs):
             raise AssertionError("phase track unwrapped")
 
-        monkeypatch.setattr(cp.analysis, "_carried_unwrap", unused)
+        monkeypatch.setattr(cp.simulator, "carried_unwrap", unused)
         rebuilt = cp.reconstruct_from_frenet(f)
         pose = f.start @ cp.synthesis.canonical_frame(0.0).T
         assert np.array_equal(rebuilt, want @ pose.T)

@@ -199,8 +199,9 @@ class TestBenchmarkInputs:
 
 
     def test_accepted_csv_is_not_set_up_for_the_row_parser(self, tmp_path, monkeypatch):
-        # the row parser's pass over the text (a second csv.reader over a
-        # second StringIO) is built only for input the bulk path rejects
+        # the row parser's pass over the text (a second csv.reader, over
+        # the lines the header's reader left) is built only for input the
+        # bulk path rejects
         readers = []
         inner = csv.reader
 

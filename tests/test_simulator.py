@@ -351,6 +351,15 @@ class TestMagnus:
             with pytest.raises(InputError, match="nested"):
                 cp.magnus_errors(pulse, nested=bad)
 
+    def test_no_phase_track(self, builtin_pulses, monkeypatch):
+        # the integrals are read off the trajectory without its theta/phi
+        # unwraps, which only the reverse-analysis report reads
+        def unused(*args, **kwargs):
+            raise AssertionError("phase track unwrapped")
+
+        monkeypatch.setattr(cp.simulator, "carried_unwrap", unused)
+        assert cp.magnus_errors(builtin_pulses["circle"]).a1_norm < 1e-9
+
     def test_first_order_reconstruction_scaling(self):
         # U0 * exp(-i db A1.sigma) reproduces the noisy propagator to O(db^2)
         pulse = square_x_pulse(n_samples=256)
