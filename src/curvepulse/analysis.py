@@ -9,7 +9,6 @@ reads what it needs off the pulse's one trajectory record.
 """
 
 from dataclasses import dataclass
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -147,13 +146,12 @@ def import_external_pulse(path):
     np.linspace(0, T, n), with the worst deviation in resample_max_error.
     The drive becomes (omega, phi) by PulseWaveform's rule, minus the
     end-corrected running integral of a nonzero detuning column, so analysis
-    always runs in the transverse frame.  Provenance (the hash of the bytes
-    parsed, import timestamp) lands in metadata; the timestamp never enters
-    serialized outputs.
+    always runs in the transverse frame.  Provenance lands in metadata: the
+    sha256 of the bytes parsed and the source file, so two imports of one
+    file carry equal metadata.
     """
     t, wx, wy, det, meta = read_pulse_file(path)
     meta["source_file"] = str(path)
-    meta["import_timestamp"] = datetime.now(timezone.utc).isoformat()
 
     if t[0] != 0.0:
         t = t - t[0]

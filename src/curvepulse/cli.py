@@ -106,10 +106,7 @@ def _refinement_arg(value):
     return int(value)
 
 
-def cmd_synth(args):
-    refinement = _refinement_arg(args.refinement)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_synth(args, outdir, refinement):
     curve, inputs = _resolve_curve(args)
     frenet = frenet_data(curve)
     pulse = pulses_from_curve(frenet, phi0=args.phi0)
@@ -121,7 +118,13 @@ def cmd_synth(args):
             file=sys.stderr,
         )
 
-    u_sim = propagate(pulse, 0.0, refinement=refinement)
+    u_sim, cert = propagate(pulse, 0.0, refinement=refinement, certify=True)
+    if not cert.converged:
+        print(
+            f"warning: synth propagation not converged at refinement {cert.refinement}: "
+            f"delta {cert.last_delta:.3e}",
+            file=sys.stderr,
+        )
     selfcheck = gate_distance(gate.unitary, u_sim)
     selfcheck_infid = average_gate_infidelity(u_sim, gate.unitary)
 
@@ -147,16 +150,15 @@ def cmd_synth(args):
             "curve_length": curve.total_length,
             "propagation_distance": selfcheck,
             "propagation_infidelity": selfcheck_infid,
+            "propagation_refinement": cert.refinement,
+            "propagation_converged": cert.converged,
+            "propagation_last_delta": cert.last_delta,
         },
     )
-    _write_manifest(outdir, args, inputs, outputs)
-    return 0
+    return inputs, outputs
 
 
-def cmd_analyze(args):
-    refinement = _refinement_arg(args.refinement)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_analyze(args, outdir, refinement):
     pulse, inputs = _load_pulse(args)
     report = robustness_report(pulse, refinement=refinement)
 
@@ -166,8 +168,7 @@ def cmd_analyze(args):
         "curve.csv": save_curve_csv(curve, outdir / "curve.csv"),
         "theta.csv": write_csv(outdir / "theta.csv", "t,theta", [curve.t, report.theta_track]),
     }
-    _write_manifest(outdir, args, inputs, outputs)
-    return 0
+    return inputs, outputs
 
 
 def _parse_target(tokens, pulse, refinement):
@@ -246,10 +247,7 @@ def _write_sweep(outdir, prefix, sweep, target_info):
     return {f"{prefix}sweep.csv": sweep_csv, f"{prefix}fit.json": fit_json}
 
 
-def cmd_sweep(args):
-    refinement = _refinement_arg(args.refinement)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_sweep(args, outdir, refinement):
     pulse, inputs = _load_pulse(args)
     grid = _parse_grid(args.grid, pulse.duration)
     mean_omega = float(np.mean(pulse.omega))
@@ -280,9 +278,7 @@ def cmd_sweep(args):
             baseline, target=None, delta_beta=sweep.delta_beta
         )
         outputs.update(_write_sweep(outdir, "square_", base_sweep, {"kind": "square-baseline"}))
-
-    _write_manifest(outdir, args, inputs, outputs)
-    return 0
+    return inputs, outputs
 
 
 @functools.cache
@@ -332,22 +328,20 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: --refinement is read before --out is made, and the
+    manifest is written after the command's own files.  ConvergenceError
+    exits 3; any other package error, or an OSError, exits 2."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except InputError as exc:
+        refinement = _refinement_arg(args.refinement)
+        outdir = Path(args.out)
+        outdir.mkdir(parents=True, exist_ok=True)
+        inputs, outputs = args.func(args, outdir, refinement)
+        _write_manifest(outdir, args, inputs, outputs)
+    except (CurvePulseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CurvePulseError as exc:  # pragma: no cover - safety net
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, ConvergenceError) else 2
+    return 0
 
 
 def run():

@@ -5,8 +5,11 @@ sample parameter t doubles as evolution time: curvature(t) is the drive
 envelope and torsion(t) the drive-phase velocity of the matching pulse.
 Derivatives come from five-point finite-difference stencils on the uniform
 grid; convergence is certified by sample-doubling tests rather than splines.
+The built-in curves are one table, _BUILTINS, of samplers and their lambda
+spans and parameters, each resampled by the same arc-length call.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -365,48 +368,27 @@ def area_diagnostics(curve):
 # built-in curves
 
 
-def _circle_sampler(radius):
-    def f(lam):
-        lam = np.atleast_1d(lam)
-        return radius * np.stack(
-            [np.cos(lam) - 1.0, np.sin(lam), np.zeros_like(lam)], axis=1
-        )
-
-    return f
+def _circle(lam, radius):
+    return radius * np.stack([np.cos(lam) - 1.0, np.sin(lam), np.zeros_like(lam)], axis=1)
 
 
-def _lemniscate_sampler(a):
+def _lemniscate(lam, a):
     # figure-eight traversed once, starting on a lobe so the two inflection
     # points stay interior (endpoints with zero curvature would leave the
     # gate extraction degenerate)
-    def f(lam):
-        lam = np.atleast_1d(lam)
-        return np.stack(
-            [-0.5 * a * np.sin(2 * lam), a * np.cos(lam), np.zeros_like(lam)], axis=1
-        )
-
-    return f
+    return np.stack([-0.5 * a * np.sin(2 * lam), a * np.cos(lam), np.zeros_like(lam)], axis=1)
 
 
-def _rot_z(q):
+def _clifford(lam, q):
     c, s = np.cos(q), np.sin(q)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def _clifford_sampler(q):
-    rz = _rot_z(q)
-
-    def f(lam):
-        lam = np.atleast_1d(lam)
-        env = SQRT2 * np.sin(np.pi * lam)
-        s2 = np.sin(np.pi * lam / 2.0) ** 2
-        c2 = np.cos(np.pi * lam / 2.0) ** 2
-        zeros = np.zeros_like(lam)
-        r1 = env[:, None] * np.stack([zeros, s2, c2], axis=1)
-        r2 = (env[:, None] * np.stack([s2, c2, zeros], axis=1)) @ rz
-        return (1.0 - lam)[:, None] * r1 + lam[:, None] * r2
-
-    return f
+    rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    env = SQRT2 * np.sin(np.pi * lam)
+    s2 = np.sin(np.pi * lam / 2.0) ** 2
+    c2 = np.cos(np.pi * lam / 2.0) ** 2
+    zeros = np.zeros_like(lam)
+    r1 = env[:, None] * np.stack([zeros, s2, c2], axis=1)
+    r2 = (env[:, None] * np.stack([s2, c2, zeros], axis=1)) @ rz
+    return (1.0 - lam)[:, None] * r1 + lam[:, None] * r2
 
 
 def _sphere_loop_point(lam):
@@ -449,7 +431,16 @@ def _gamma_sampler(lam):
     return cumulative_gauss3(_gamma_velocity, lam)
 
 
-BUILTIN_CURVES = ("circle", "lemniscate", "clifford_fig1", "alpha_eq12", "const_torsion_gamma")
+# name -> (sampler(lam, **params), end of the lambda span from 0, parameter
+# defaults, parameters that must be positive)
+_BUILTINS = {
+    "circle": (_circle, 2 * np.pi, {"radius": 1.0}, ("radius",)),
+    "lemniscate": (_lemniscate, 2 * np.pi, {"a": 1.0}, ("a",)),
+    "clifford_fig1": (_clifford, 1.0, {"q": CLIFFORD_Q}, ()),
+    "alpha_eq12": (_sphere_loop_point, 2 * np.pi, {}, ()),
+    "const_torsion_gamma": (_gamma_sampler, 2 * np.pi, {}, ()),
+}
+BUILTIN_CURVES = tuple(_BUILTINS)
 
 
 def builtin_curve(name, n_samples=DEFAULT_SAMPLES, **params):
@@ -468,46 +459,21 @@ def builtin_curve(name, n_samples=DEFAULT_SAMPLES, **params):
         O(h^7) error is at rounding level already on the coarsest dense
         arc-length grid (8192 intervals; 5e-15 against adaptive quadrature);
         alpha and alpha' share their trig values at each node.
+    Parameters are floats, checked against the curve's _BUILTINS entry.
     """
-
-    def _reject_unknown(allowed):
-        extra = set(params) - set(allowed)
-        if extra:
-            raise InputError(f"unknown parameters for {name}: {sorted(extra)}")
-
-    if name == "circle":
-        _reject_unknown({"radius"})
-        radius = float(params.get("radius", 1.0))
-        if radius <= 0:
-            raise InputError("circle radius must be positive")
-        return reparameterize_by_arclength(
-            _circle_sampler(radius), (0.0, 2 * np.pi), n_samples, source_tag="circle"
-        )
-    if name == "lemniscate":
-        _reject_unknown({"a"})
-        a = float(params.get("a", 1.0))
-        if a <= 0:
-            raise InputError("lemniscate scale must be positive")
-        return reparameterize_by_arclength(
-            _lemniscate_sampler(a), (0.0, 2 * np.pi), n_samples, source_tag="lemniscate"
-        )
-    if name == "clifford_fig1":
-        _reject_unknown({"q"})
-        q = float(params.get("q", CLIFFORD_Q))
-        return reparameterize_by_arclength(
-            _clifford_sampler(q), (0.0, 1.0), n_samples, source_tag="clifford_fig1"
-        )
-    if name == "alpha_eq12":
-        _reject_unknown(set())
-        return reparameterize_by_arclength(
-            _sphere_loop_point, (0.0, 2 * np.pi), n_samples, source_tag="alpha_eq12"
-        )
-    if name == "const_torsion_gamma":
-        _reject_unknown(set())
-        return reparameterize_by_arclength(
-            _gamma_sampler, (0.0, 2 * np.pi), n_samples, source_tag="const_torsion_gamma"
-        )
-    raise InputError(f"unknown builtin curve {name!r}; choose from {BUILTIN_CURVES}")
+    if name not in _BUILTINS:
+        raise InputError(f"unknown builtin curve {name!r}; choose from {BUILTIN_CURVES}")
+    sampler, span, defaults, positive = _BUILTINS[name]
+    extra = set(params) - set(defaults)
+    if extra:
+        raise InputError(f"unknown parameters for {name}: {sorted(extra)}")
+    values = {key: float(params.get(key, default)) for key, default in defaults.items()}
+    for key in positive:
+        if values[key] <= 0:
+            raise InputError(f"{name} parameter {key!r} must be positive")
+    return reparameterize_by_arclength(
+        functools.partial(sampler, **values), (0.0, span), n_samples, source_tag=name
+    )
 
 
 def random_fourier_loop(seed, n_samples=DEFAULT_SAMPLES):

@@ -443,7 +443,7 @@ def save_pulse_json(pulse, path):
         "omega": pulse.omega,
         "phi": pulse.phi,
         "detuning": pulse.detuning,
-        "metadata": {k: v for k, v in pulse.metadata.items() if k != "import_timestamp"},
+        "metadata": pulse.metadata,
     }
     return write_json(path, payload)
 

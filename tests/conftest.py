@@ -1,4 +1,5 @@
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from curvepulse.simulator import interaction_trajectory
 from curvepulse.su2 import IDENTITY, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 BUILTINS = list(cp.BUILTIN_CURVES)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def python_env():
@@ -157,33 +159,17 @@ def third_order_vector(curve):
 
 
 def stadium_rows(straight=1.0, radius=1.0, rows=513):
-    """Closed stadium as raw rows: two straights joined by half-circles.
+    """The benchmark's stadium (perfbench/workloads.py:stadium_curve) as a curve.
 
-    Sampled at equal arc-length steps from the middle of the lower straight,
-    so the curve starts (and ends) on a zero-curvature run.  Load it through
-    a CSV file to get the spline route every curve file takes.
+    Two straights joined by half-circles, sampled at equal arc-length steps
+    from the middle of the lower straight, so the curve starts (and ends) on
+    a zero-curvature run.  Load it through a CSV file to get the spline
+    route every curve file takes.  perfbench/ is on sys.path only while its
+    workloads module (which imports its sibling oracle) is first imported.
     """
-    s = np.linspace(0.0, 2.0 * straight + 2.0 * np.pi * radius, rows)
-    half = 0.5 * straight
-    ends = np.cumsum([half, np.pi * radius, straight, np.pi * radius])
-    seg = np.searchsorted(ends, s, side="right")
-    pts = np.zeros((rows, 3))
-    # (anchor x, anchor y, direction) of each piece, in traversal order
-    pieces = [
-        (0.0, 0.0, 1.0),
-        (half, radius, 1.0),
-        (half, 2.0 * radius, -1.0),
-        (-half, radius, -1.0),
-        (-half, 0.0, 1.0),
-    ]
-    for k, (x0, y0, sign) in enumerate(pieces):
-        m = seg == k
-        u = s[m] - (ends[k - 1] if k else 0.0)
-        if k % 2 == 0:  # straight run along +-x
-            pts[m, 0] = x0 + sign * u
-            pts[m, 1] = y0
-        else:  # half-circle about (x0, y0)
-            a = u / radius
-            pts[m, 0] = x0 + sign * radius * np.sin(a)
-            pts[m, 1] = y0 - sign * radius * np.cos(a)
-    return cp.SpaceCurve(s, pts, "stadium")
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return cp.SpaceCurve(*workloads.stadium_curve(straight, radius, rows), "stadium")

@@ -231,7 +231,8 @@ class TestImport:
         assert np.max(np.abs(back.omega_x - pulse.omega_x)) < 1e-12
         assert np.max(np.abs(back.omega_y - pulse.omega_y)) < 1e-12
         assert "sha256" in back.metadata
-        assert "import_timestamp" in back.metadata
+        # provenance is the bytes' hash and the file: no wall clock
+        assert back.metadata == cp.import_external_pulse(path).metadata
 
     def test_non_uniform_grid_resampled(self, tmp_path):
         t = np.concatenate([[0.0], np.cumsum(np.linspace(0.01, 0.02, 127))])

@@ -2,23 +2,22 @@
 
 perfbench/tracer.py wraps package functions by name in every run, and its
 hooks bind their parameters by name and read `.refinement` off their
-results; run.py reads `_accel.HAVE_NUMBA` and `_accel.USE_NUMBA`, and
-stages.py makes a few calls of its own.  A rename or a deletion that the
-rest of the suite does not notice would fail every benchmark run; here it
-fails a test.  The harness's files are imported, never changed.
+results; run.py reads `_accel.HAVE_NUMBA` and `_accel.USE_NUMBA`,
+stages.py makes a few calls of its own, and workloads.py builds every
+built-in curve by name.  A rename or a deletion that the rest of the suite
+does not notice would fail every benchmark run; here it fails a test.  The
+harness's files are imported, never changed.
 """
 
-from pathlib import Path
+import argparse
 
 import pytest
 
 import curvepulse as cp
 from curvepulse import _accel
-from curvepulse.cli import main
+from curvepulse.cli import build_parser, main
 
-from conftest import magnus_a2_nested
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+from conftest import PERFBENCH, magnus_a2_nested
 
 
 @pytest.fixture
@@ -66,3 +65,15 @@ def test_run_and_stages_calls(tracer):
     # the tracer's hook on the nested quadrature, which only test oracles call
     magnus_a2_nested(pulse, 1)
     assert tracer.op_counts[0]["_accel.magnus_nested_r2.pairs"] == 512 * 511 // 2
+
+
+def test_builtin_names(monkeypatch):
+    # the benchmark builds every built-in by name, and synth offers exactly
+    # the table's names
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    assert set(workloads.BUILTINS) <= set(cp.BUILTIN_CURVES)
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    builtin = next(a for a in sub.choices["synth"]._actions if a.dest == "builtin")
+    assert tuple(builtin.choices) == cp.BUILTIN_CURVES

@@ -69,6 +69,20 @@ class TestSynth:
         assert gate["propagation_distance"] < 1e-4
         header = (synth_out / "frenet.csv").read_text().splitlines()[0]
         assert header == "t,kappa,tau"
+        # the self-check's propagation certificate, converged under auto refinement
+        assert gate["propagation_converged"] is True
+        assert gate["propagation_refinement"] >= 2
+        assert gate["propagation_last_delta"] < 1e-8
+
+    def test_unconverged_self_check_warns(self, tmp_path, capsys):
+        # at 64 samples one substep per interval moves 2e-5 when doubled
+        argv = ["synth", "--builtin", "clifford_fig1", "--samples", "64", "--refinement", "1"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert "warning: synth propagation not converged at refinement 1" in capsys.readouterr().err
+        gate = json.loads((tmp_path / "gate.json").read_text())
+        assert gate["propagation_converged"] is False
+        assert gate["propagation_refinement"] == 1
+        assert gate["propagation_last_delta"] > 1e-8
 
     def test_circle_constant_pulse(self, tmp_path):
         out = tmp_path / "circle"

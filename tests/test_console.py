@@ -79,7 +79,8 @@ def test_stadium_end_normal(tmp_path, samples):
 
 
 def test_stadium_rows_are_the_benchmark_stadium(tmp_path, monkeypatch):
-    # the stadium above is the benchmark's input, byte for byte
+    # stadium_rows is the benchmark's stadium_curve; this pins the bytes
+    # save_curve_csv writes of it to the benchmark's np.savetxt file
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import workloads
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import tracemalloc
 
@@ -274,13 +275,13 @@ class TestReparameterize:
         # pointwise samplers see the same dense points whether each level is
         # sampled whole or from its new midpoints, so the curve is unchanged
         if name == "clifford_fig1":
-            sampler, span = curves._clifford_sampler(curves.CLIFFORD_Q), (0.0, 1.0)
+            sampler, span = functools.partial(curves._clifford, q=curves.CLIFFORD_Q), (0.0, 1.0)
         elif name == "alpha_eq12":
             sampler, span = _sphere_loop_point, (0.0, 2 * np.pi)
         elif name == "perturbed_circle":
             def sampler(lam):
                 lam = np.atleast_1d(lam)
-                return curves._circle_sampler(1.0)(lam) + 0.1 * np.sin(3 * lam)[:, None]
+                return curves._circle(lam, radius=1.0) + 0.1 * np.sin(3 * lam)[:, None]
 
             span = (0.0, 2 * np.pi)
         else:  # the cubic spline load_curve fits through a file's rows
@@ -467,6 +468,19 @@ class TestBuiltins:
         with pytest.raises(InputError):
             cp.builtin_curve("circle", wobble=2.0)
 
+    @pytest.mark.parametrize(
+        "name, params, match",
+        [
+            ("circle", {"radius": 0.0}, "circle parameter 'radius' must be positive"),
+            ("lemniscate", {"a": -1.0}, "lemniscate parameter 'a' must be positive"),
+            ("alpha_eq12", {"q": 1.0}, r"unknown parameters for alpha_eq12: \['q'\]"),
+        ],
+    )
+    def test_parameter_rule(self, name, params, match):
+        # one rule for every entry of the table: known names, positive where listed
+        with pytest.raises(InputError, match=match):
+            cp.builtin_curve(name, n_samples=64, **params)
+
     def test_sphere_loop_start_point(self):
         # closed-form start point of the spherical loop, before translation
         want = np.array(
@@ -514,7 +528,9 @@ class TestBuiltins:
             nodes.append(lam.size)
             return integrand(lam)
 
-        monkeypatch.setattr(curves, "_gamma_sampler", counted_sampler)
+        # the table holds the sampler itself, so its entry is the one patched
+        entry = curves._BUILTINS["const_torsion_gamma"]
+        monkeypatch.setitem(curves._BUILTINS, "const_torsion_gamma", (counted_sampler, *entry[1:]))
         monkeypatch.setattr(curves, "_gamma_velocity", counted_integrand)
         cp.builtin_curve("const_torsion_gamma", n_samples=4096)
         assert sum(sampled) > 0

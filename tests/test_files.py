@@ -395,7 +395,7 @@ def _pulse_json(pulse):
         "omega": pulse.omega,
         "phi": pulse.phi,
         "detuning": pulse.detuning,
-        "metadata": {k: v for k, v in pulse.metadata.items() if k != "import_timestamp"},
+        "metadata": pulse.metadata,
     }
     items = [
         json.dumps(key) + ": " + (
@@ -476,7 +476,7 @@ class TestJsonFormatter:
     def test_pulse_json_bytes(self, tmp_path, builtin_pulses):
         lab = cp.transform_to_lab_frame(builtin_pulses["clifford_fig1"]).to_waveform()
         nested = cp.PulseWaveform(lab.t, lab.omega, lab.phi, detuning=lab.detuning, metadata={
-            "frame": "lab", "import_timestamp": "dropped",
+            "frame": "lab",
             "source": {"b": [1, 2.5, None, 1e16], "a": {"z": -0.0, "y": "\u00e9"}},
         })
         pulses = {**builtin_pulses, "lab-nested": nested}
