@@ -14,7 +14,6 @@ import numpy as np
 
 from ._numerics import cumtrapz_end_corrected, grid_fault
 from .curves import SpaceCurve
-from .errors import InputError
 from .simulator import interaction_trajectory
 from .synthesis import (
     CLOSURE_RTOL,
@@ -73,17 +72,8 @@ class RobustnessReport:
         }
 
 
-def curve_from_pulse(pulse, refinement=None):
-    """The interaction-frame trajectory of a pulse, a ReconstructionResult.
-
-    Its curve is the noise axis integrated on the pulse's own grid, and its
-    theta(t), phi(t) are the evolution phase angles, tracked continuously
-    through the chart degeneracies.  The default refinement is
-    magnus_errors'.
-    """
-    if not isinstance(pulse, PulseWaveform):
-        raise InputError("curve_from_pulse expects a PulseWaveform")
-    return interaction_trajectory(pulse, refinement)
+# the reverse-analysis name of the one checked trajectory builder
+curve_from_pulse = interaction_trajectory
 
 
 def reconstruct_from_frenet(frenet):

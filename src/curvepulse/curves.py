@@ -432,7 +432,7 @@ def _gamma_sampler(lam):
 
 
 # name -> (sampler(lam, **params), end of the lambda span from 0, parameter
-# defaults, parameters that must be positive)
+# defaults, parameters that must be positive); every parameter must be finite
 _BUILTINS = {
     "circle": (_circle, 2 * np.pi, {"radius": 1.0}, ("radius",)),
     "lemniscate": (_lemniscate, 2 * np.pi, {"a": 1.0}, ("a",)),
@@ -459,7 +459,7 @@ def builtin_curve(name, n_samples=DEFAULT_SAMPLES, **params):
         O(h^7) error is at rounding level already on the coarsest dense
         arc-length grid (8192 intervals; 5e-15 against adaptive quadrature);
         alpha and alpha' share their trig values at each node.
-    Parameters are floats, checked against the curve's _BUILTINS entry.
+    Parameters are finite floats, checked against the curve's _BUILTINS entry.
     """
     if name not in _BUILTINS:
         raise InputError(f"unknown builtin curve {name!r}; choose from {BUILTIN_CURVES}")
@@ -468,8 +468,10 @@ def builtin_curve(name, n_samples=DEFAULT_SAMPLES, **params):
     if extra:
         raise InputError(f"unknown parameters for {name}: {sorted(extra)}")
     values = {key: float(params.get(key, default)) for key, default in defaults.items()}
-    for key in positive:
-        if values[key] <= 0:
+    for key, value in values.items():
+        if not np.isfinite(value):
+            raise InputError(f"{name} parameter {key!r} must be finite, got {value}")
+        if key in positive and value <= 0:
             raise InputError(f"{name} parameter {key!r} must be positive")
     return reparameterize_by_arclength(
         functools.partial(sampler, **values), (0.0, span), n_samples, source_tag=name

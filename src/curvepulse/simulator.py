@@ -315,8 +315,14 @@ class ReconstructionResult:
 def interaction_trajectory(pulse, refinement=None):
     """The one noise-free evolution behind reverse analysis, as a record.
 
-    By default the refinement puts at most MAGNUS_SUBSTEP_CAP substeps on it.
+    Its curve is the noise axis integrated on the pulse's own grid, and its
+    theta(t), phi(t) are the evolution phase angles, tracked continuously
+    through the chart degeneracies.  By default the refinement puts at most
+    MAGNUS_SUBSTEP_CAP substeps on it.  ``analysis.curve_from_pulse`` is
+    this function under its reverse-analysis name.
     """
+    if not isinstance(pulse, PulseWaveform):
+        raise InputError("interaction_trajectory expects a PulseWaveform")
     if refinement is None:
         refinement = max(1, (MAGNUS_SUBSTEP_CAP - 1) // (pulse.n_samples - 1))
     refinement = int(refinement)
@@ -333,10 +339,10 @@ def magnus_errors(pulse, refinement=None, nested=False):
     The interaction-frame axis U0^dag sz U0 is evaluated on the substep grid
     and integrated by end-corrected trapezoid rules: A1 is the endpoint of
     the resulting curve, A2 a single-pass accumulation on its prefixes.
-    This is the trajectory ``curve_from_pulse`` reads, under the same
-    default refinement.  nested accepts only False and its synonym "auto";
-    any other value, True included, raises InputError: the O(N^2) nested
-    quadrature of A2 is a test oracle, not an option.
+    This is the trajectory ``interaction_trajectory`` returns, under the
+    same default refinement.  nested accepts only False and its synonym
+    "auto"; any other value, True included, raises InputError: the O(N^2)
+    nested quadrature of A2 is a test oracle, not an option.
     """
     # nested survives only for perfbench/stages.py, which passes both values
     if nested is not False and nested != "auto":

@@ -16,7 +16,6 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY = np.eye(2, dtype=complex)
-PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 # from_matrix's unitarity bound
 _UNITARY_TOL = 1e-8
@@ -48,10 +47,6 @@ class Unitary2:
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
         m = m / np.sqrt(det)
         return cls(complex(m[0, 0]), complex(m[1, 0]))
-
-    def normalized(self):
-        norm = np.sqrt(abs(self.u1) ** 2 + abs(self.u2) ** 2)
-        return Unitary2(self.u1 / norm, self.u2 / norm)
 
 
 def unitary_from_angles(chi, phi, theta):
@@ -101,22 +96,21 @@ def axis_angle_unitary(axis, angle):
 
 
 def unitary_axis_angle(u):
-    """Rotation axis and angle in [0, pi] of u, up to global phase."""
-    m = (u if isinstance(u, Unitary2) else Unitary2.from_matrix(u)).matrix
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    m = m / np.sqrt(det)
-    c = np.clip(np.real(np.trace(m)) / 2.0, -1.0, 1.0)
-    # -i sin(angle/2) axis.sigma is the Pauli part of m
-    s_vec = -np.imag(np.array([0.5 * np.trace(m @ p) for p in PAULIS]))
+    """Rotation axis and angle in [0, pi] of u, up to global phase.
+
+    The pair of cos(a/2) I - i sin(a/2) (n.sigma) is u1 = cos(a/2) -
+    i sin(a/2) n_z, u2 = sin(a/2) (n_y - i n_x), read off directly; of u and
+    -u, the one with Re u1 >= 0 has its angle in [0, pi].
+    """
+    u1, u2 = _su2_pair(u)
+    if u1.real < 0.0:
+        u1, u2 = -u1, -u2
+    s_vec = np.array([-u2.imag, u2.real, -u1.imag])
     s = np.linalg.norm(s_vec)
-    angle = 2.0 * np.arctan2(s, c)
+    angle = float(2.0 * np.arctan2(s, u1.real))
     if s < 1e-12:
-        return np.array([0.0, 0.0, 1.0]), float(angle)
-    axis = s_vec / s
-    if angle > np.pi:
-        angle = 2.0 * np.pi - angle
-        axis = -axis
-    return axis, float(angle)
+        return np.array([0.0, 0.0, 1.0]), angle
+    return s_vec / s, angle
 
 
 def _proper_rotation(r):
@@ -153,4 +147,4 @@ def unitary_from_rotation(r):
     # U = q0 I + i (q.sigma) satisfies U^dag (v.sigma) U = (R v).sigma
     u1 = q[0] + 1j * q[3]
     u2 = -q[2] + 1j * q[1]
-    return Unitary2(complex(u1), complex(u2)).normalized()
+    return Unitary2(complex(u1), complex(u2))

@@ -9,7 +9,9 @@ import curvepulse as cp
 from curvepulse import _accel
 from curvepulse._numerics import cumtrapz, fd1
 from curvepulse.simulator import interaction_trajectory
-from curvepulse.su2 import IDENTITY, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
+from curvepulse.su2 import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z
+
+PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 BUILTINS = list(cp.BUILTIN_CURVES)
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

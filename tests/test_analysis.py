@@ -261,6 +261,19 @@ class TestImport:
         assert abs(slope + 0.7) < 1e-3
         assert np.max(np.abs(pulse.omega - wx)) < 1e-12
 
+    def test_lab_json_twin_imports_as_its_csv(self, tmp_path):
+        # a JSON pulse's detuning column is folded as the CSV's is: the same
+        # drive, bit for bit
+        pulse = cp.pulses_from_curve(cp.frenet_data(cp.builtin_curve("clifford_fig1", n_samples=512)))
+        lab = cp.transform_to_lab_frame(pulse).to_waveform()
+        cp.save_pulse_csv(lab, tmp_path / "lab.csv")
+        cp.save_pulse_json(lab, tmp_path / "lab.json")
+        from_csv = cp.import_external_pulse(tmp_path / "lab.csv")
+        from_json = cp.import_external_pulse(tmp_path / "lab.json")
+        assert from_json.metadata["frame"] == "transverse (detuning folded)"
+        assert np.array_equal(from_json.omega, from_csv.omega)
+        assert np.array_equal(from_json.phi, from_csv.phi)
+
     @pytest.mark.parametrize("name", ["alpha_eq12", "const_torsion_gamma"])
     def test_lab_csv_import_converges(self, tmp_path, name):
         # transverse pulse -> lab waveform (signed x drive plus z field) ->

@@ -308,11 +308,7 @@ class TestSweep:
             seen.append(refinement)
             return inner(pulse, refinement)
 
-        def unused(*args, **kwargs):
-            raise AssertionError("curve_from_pulse called")
-
         monkeypatch.setattr(cli, "interaction_trajectory", recording)
-        monkeypatch.setattr(cp.analysis, "curve_from_pulse", unused)
         args = ["sweep", "--pulse-file", str(synth_out / "pulse.csv"), "--target", "from-curve"]
         args += ["--grid", "1e-3:4e-2:5"]
         assert main(args + ["--refinement", "4", "--out", str(tmp_path / "r4")]) == 0
@@ -448,6 +444,37 @@ class TestSweep:
         rows = [np.loadtxt(out / "square_sweep.csv", delimiter=",", skiprows=1) for out in outs]
         np.testing.assert_allclose(rows[0], rows[1], rtol=1e-12, atol=0.0)
 
+    def test_square_baseline_of_identity_spellings(self, tmp_path, synth_out):
+        # angle 0 and +-2 pi spell the identity: each baseline is the undriven one
+        outs = []
+        for k, angle in enumerate(("0", "6.283185307179586", "-6.283185307179586")):
+            out = tmp_path / f"sweep{k}"
+            argv = ["sweep", "--pulse-file", str(synth_out / "pulse.csv"), "--target", "axis=0,0,1"]
+            argv += [f"angle={angle}", "--grid", "1e-3:4e-2:8", "--compare", "square"]
+            assert main(argv + ["--out", str(out)]) == 0
+            outs.append(out)
+        for name in ("square_sweep.csv", "square_fit.json"):
+            assert {(out / name).read_bytes() for out in outs} == {(outs[0] / name).read_bytes()}
+        assert abs(json.loads((outs[0] / "square_fit.json").read_text())["slope"] - 2.0) < 0.1
+
+    def test_weak_noise_warning(self, tmp_path, synth_out, capsys):
+        # a grid past 0.2x the mean drive still sweeps, with a warning
+        argv = ["sweep", "--pulse-file", str(synth_out / "pulse.csv"), "--grid", "1e-2:3:5"]
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 0
+        assert "warning: grid extends beyond the weak-noise regime" in capsys.readouterr().err
+
+    def test_too_few_points_exits_3(self, tmp_path, capsys):
+        # alpha_eq12's 4096-sample pulse leaves fewer than 3 points above the
+        # infidelity floor on the default grid: exit 3 and no output file
+        pulse = cp.pulses_from_curve(cp.frenet_data(cp.builtin_curve("alpha_eq12")))
+        cp.save_pulse_csv(pulse, tmp_path / "alpha.csv")
+        out = tmp_path / "x"
+        assert main(["sweep", "--pulse-file", str(tmp_path / "alpha.csv"), "--out", str(out)]) == 3
+        assert "error: fewer than 3 sweep points above the infidelity noise floor" in (
+            capsys.readouterr().err
+        )
+        assert list(out.iterdir()) == []
+
     def test_bad_grid_exits_2(self, tmp_path, synth_out):
         rc = main(
             ["sweep", "--pulse-file", str(synth_out / "pulse.csv"), "--grid", "oops", "--out", str(tmp_path / "x")]
@@ -548,6 +575,44 @@ class TestArgumentValidation:
         argv = ["sweep", "--pulse-file", str(synth_out / "pulse.csv"), *extra]
         assert main([*argv, "--out", str(tmp_path / "x")]) == 2
         assert "finite" in capsys.readouterr().err
+
+
+def _bad_pulse_file(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return ["sweep", "--pulse-file", str(path)]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["synth", "--builtin", "circle", "--param", "radius=abc"],
+         "error: --param radius: could not convert string to float: 'abc'"),
+        (["synth", "--builtin", "circle", "--param", "radius=nan"],
+         "error: circle parameter 'radius' must be finite, got nan"),
+        (["synth", "--builtin", "circle", "--curve-file", "c.csv"],
+         "error: give either --builtin or --curve-file, not both"),
+        (["synth"], "error: a curve source is required: --builtin NAME or --curve-file PATH"),
+        (["--target", "bogus"], "error: --target token 'bogus' not understood"),
+        (["--target", "axis=1,0,0"],
+         "error: --target needs axis=x,y,z and angle=RAD (or from-curve)"),
+        (["--target", "axis=1,0,x", "angle=1"],
+         "error: --target: could not convert string to float: 'x'"),
+        (["--target", "axis=1,0", "angle=1"], "error: --target axis needs three components"),
+        ((_bad_pulse_file, "bad.json", "{"), "bad.json: invalid JSON:"),
+        ((_bad_pulse_file, "empty.csv", ""), "empty.csv: empty file"),
+    ],
+    ids=["param-text", "param-nan", "two-sources", "no-source", "target-token",
+         "target-no-angle", "target-axis-text", "target-axis-short", "pulse-json", "pulse-csv"],
+)
+def test_input_error_exits_2(tmp_path, synth_out, capsys, argv, message):
+    # each input error exits 2 with its message on stderr
+    if callable(argv[0]):
+        argv = argv[0](tmp_path, *argv[1:])
+    elif argv[0] != "synth":
+        argv = ["sweep", "--pulse-file", str(synth_out / "pulse.csv"), *argv]
+    assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+    assert message in capsys.readouterr().err
 
 
 class TestParser:

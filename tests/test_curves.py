@@ -474,10 +474,17 @@ class TestBuiltins:
             ("circle", {"radius": 0.0}, "circle parameter 'radius' must be positive"),
             ("lemniscate", {"a": -1.0}, "lemniscate parameter 'a' must be positive"),
             ("alpha_eq12", {"q": 1.0}, r"unknown parameters for alpha_eq12: \['q'\]"),
+            ("circle", {"radius": np.nan}, "circle parameter 'radius' must be finite"),
+            ("lemniscate", {"a": np.inf}, "lemniscate parameter 'a' must be finite"),
+            ("clifford_fig1", {"q": np.inf}, "clifford_fig1 parameter 'q' must be finite"),
+            ("clifford_fig1", {"q": -np.inf}, "clifford_fig1 parameter 'q' must be finite"),
         ],
     )
     def test_parameter_rule(self, name, params, match):
-        # one rule for every entry of the table: known names, positive where listed
+        # one rule for every entry of the table: known names, finite, positive
+        # where listed.  It runs before any sample is taken, so no sampler
+        # warns (pyproject.toml turns a RuntimeWarning from curvepulse into
+        # an error, which pytest.raises would not take for an InputError)
         with pytest.raises(InputError, match=match):
             cp.builtin_curve(name, n_samples=64, **params)
 

@@ -5,8 +5,8 @@ import pytest
 from scipy.linalg import expm
 
 import curvepulse as cp
-from curvepulse.errors import InputError
-from curvepulse.simulator import MAX_REFINEMENT
+from curvepulse.errors import ConvergenceError, InputError
+from curvepulse.simulator import MAX_REFINEMENT, interaction_trajectory
 from curvepulse.su2 import SIGMA_X, SIGMA_Z, _distance_sq, _su2_pair
 
 from conftest import magnus_a2_nested, pauli_compose, third_order_vector
@@ -120,6 +120,13 @@ class TestPropagate:
         for call in calls:
             with pytest.raises(InputError, match="refinement"):
                 call()
+
+    def test_one_checked_trajectory_builder(self):
+        # reverse analysis enters one builder, which checks its pulse itself
+        assert cp.curve_from_pulse is interaction_trajectory
+        for evolve in (interaction_trajectory, cp.magnus_errors, cp.robustness_report):
+            with pytest.raises(InputError, match="expects a PulseWaveform"):
+                evolve("x")
 
 
 class TestDetuningColumn:
@@ -286,6 +293,14 @@ class TestSweep:
                 cp.infidelity_sweep(pulse, delta_beta=grid)
         with pytest.raises(InputError, match="empty"):
             cp.infidelity_sweep(pulse, delta_beta=[])
+
+    def test_too_few_points_above_the_floor(self, builtin_pulses):
+        # alpha_eq12's loop cancels through third order: on the default grid
+        # fewer than 3 of its infidelities clear the double-precision floor
+        with pytest.raises(
+            ConvergenceError, match="fewer than 3 sweep points above the infidelity noise floor"
+        ):
+            cp.infidelity_sweep(builtin_pulses["alpha_eq12"])
 
     def test_zero_noise_infidelity_floor(self, builtin_curves, builtin_frenet, builtin_pulses):
         # a correctly synthesized pulse reproduces its geometric target

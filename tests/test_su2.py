@@ -111,6 +111,25 @@ class TestAxisAngle:
             assert abs(got_angle - angle) < 1e-10
             assert np.max(np.abs(got_axis - axis)) < 1e-9
 
+    @pytest.mark.parametrize("angle", [2.0 * np.pi, -2.0 * np.pi, 4.0 * np.pi])
+    def test_identity_class_reads_zero(self, angle):
+        # +-I is the identity rotation: angle 0, not 2 pi
+        for u in (cp.axis_angle_unitary([1.0, 2.0, 3.0], angle), -IDENTITY):
+            got_axis, got_angle = cp.unitary_axis_angle(u)
+            assert 0.0 <= got_angle < 1e-14
+            assert got_axis.tolist() == [0.0, 0.0, 1.0]
+
+    def test_angle_in_zero_to_pi(self):
+        # either sign of the pair reads one rotation, with its angle in [0, pi]
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            u = random_special_unitary(rng)
+            axis, angle = cp.unitary_axis_angle(u)
+            flipped = cp.unitary_axis_angle(Unitary2(-u.u1, -u.u2))
+            assert 0.0 <= angle <= np.pi
+            assert flipped[1] == angle and np.array_equal(flipped[0], axis)
+            assert cp.gate_distance(cp.axis_angle_unitary(axis, angle), u) < 1e-12
+
 
 class TestUnitary2:
     def test_from_matrix_strips_phase(self):

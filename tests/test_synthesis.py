@@ -106,6 +106,15 @@ class TestTargetGate:
             u = cp.propagate(cp.pulses_from_curve(f), 0.0)
             assert cp.gate_distance(gate.unitary, u) < 1e-6, n
 
+    def test_builtin_angles_in_zero_to_pi(self, builtin_curves, builtin_frenet):
+        # the closed planar loops and alpha_eq12 make the identity: angle 0, not 2 pi
+        angles = {
+            name: cp.target_gate_from_curve(c, builtin_frenet[name]).angle
+            for name, c in builtin_curves.items()
+        }
+        assert all(0.0 <= a <= np.pi for a in angles.values()), angles
+        assert angles["circle"] < 1e-14
+
     def test_open_curve_flagged(self):
         f = cp.frenet_data(helix_curve())
         gate = cp.target_gate_from_curve(helix_curve(), f)
